@@ -1,7 +1,8 @@
 """Latency breakdown: where a multicast's microseconds go.
 
-:func:`run_breakdown` re-runs one multicast with tracing enabled and
-decomposes the aggregate work into the §2.5 cost components:
+:func:`run_breakdown` re-runs one multicast with a fresh
+:class:`~repro.obs.Tracer` and decomposes the aggregate work into the
+§2.5 cost components:
 
 * host start-up (``t_s``, once per multicast at the source);
 * NI injection overhead (``t_ns`` per send);
@@ -19,11 +20,13 @@ scales them onto the measured latency for a per-component share.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Dict
 
 from ..core.trees import MulticastTree
 from ..mcast.simulator import MulticastResult, MulticastSimulator
+from ..obs.tracer import Tracer, Track
 
 __all__ = ["LatencyBreakdown", "run_breakdown"]
 
@@ -71,37 +74,38 @@ def run_breakdown(
 ) -> LatencyBreakdown:
     """Simulate ``tree`` with tracing and decompose the work.
 
-    Uses a tracing clone of ``simulator`` (same topology/router/params/
-    discipline) so the caller's simulator configuration is preserved.
+    Runs a copy of ``simulator`` — every setting kept, its tracer
+    swapped for a fresh :class:`~repro.obs.Tracer` — so the caller's
+    simulator is left untouched and the breakdown's ``result`` is the
+    run a plain ``simulator.run`` would give.
     """
-    traced = MulticastSimulator(
-        simulator.topology,
-        simulator.router,
-        params=simulator.params,
-        ni_class=simulator.ni_class,
-        collect_trace=True,
-        host_speed=simulator.host_speed,
-        send_policy=simulator.send_policy,
-        ni_ports=simulator.ni_ports,
-    )
+    traced = copy.copy(simulator)
+    traced.tracer = tracer = Tracer()
     result = traced.run(tree, num_packets)
-    trace = traced.last_trace
     params = simulator.params
 
-    sends = list(trace.select("ni_send"))
-    receives = trace.count("ni_recv")
+    host_of = {ni.obs_track: ni.host for ni in traced.last_registry}
+    node_of = {str(h): h for h in simulator.topology.hosts}
+    sends = receives = 0
     network = 0.0
-    for record in sends:
-        hops = len(simulator.router.route(record["src"], record["dst"]))
-        network += hops * params.t_switch + params.wire_time
+    for event in tracer.events:
+        if event.cat != "ni":
+            continue
+        if event.name == "send":
+            sends += 1
+            src = host_of[Track(event.pid, event.tid)]
+            hops = len(simulator.router.route(src, node_of[event.args["dst"]]))
+            network += hops * params.t_switch + params.wire_time
+        elif event.name == "recv":
+            receives += 1
 
     return LatencyBreakdown(
         result=result,
         host_startup=params.t_s,
-        injection=len(sends) * params.t_ns,
+        injection=sends * params.t_ns,
         network=network,
         blocking=result.blocked_time,
         receive=receives * params.t_nr,
         host_receive=params.t_r,
-        sends=len(sends),
+        sends=sends,
     )

@@ -1,14 +1,18 @@
 """Apply a :class:`~repro.faults.schedule.FaultSchedule` to a live simulation.
 
-The NI engines in :mod:`repro.nic.interface` (and the reliable fork)
-carry one hook — ``ni.fault_gate`` — that is ``None`` on a healthy NI.
-This module provides the gate objects and the driver process that flips
-them at the scheduled simulated times, so FPFS, FCFS, conventional and
+The NI engines in :mod:`repro.nic.interface` — the only engines; every
+discipline, the reliable NI included, runs on them — carry one hook,
+``ni.fault_gate``, that is ``None`` on a healthy NI.  This module
+provides the gate objects and the driver process that flips them at
+the scheduled simulated times, so FPFS, FCFS, conventional and
 reliable NIs all run under the *same* schedule without forking any
 model:
 
 * :class:`LinkFaultState` — shared channel-level fault map consulted by
-  every gate's ``link_gate`` (drops and extra per-traversal delay).
+  every gate's ``link_gate`` (drops and extra per-traversal delay),
+  plus an optional random loss model — the seeded
+  :class:`~repro.nic.reliable.BernoulliLoss` that
+  :class:`~repro.mcast.ReliableMulticastSimulator` installs.
 * :class:`NIFaultGate` — per-NI state (crashed / stalled / buffer cap)
   whose generator methods the engines ``yield from`` once per packet.
 * :class:`FaultInjector` — parses a schedule into gate flips: it
@@ -52,10 +56,13 @@ class LinkFaultState:
     one channel, a *host node* breaks every channel touching the node
     (the cable was pulled, not one lane).  Degradations accumulate:
     two overlapping ``link_degrade`` events on the same channel charge
-    the sum of their delays until each heals.
+    the sum of their delays until each heals.  ``loss`` (if set) is a
+    random loss model — ``loss.drops(payload) -> bool``, one call per
+    transmission — applied on every channel, independently of the map.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, loss=None) -> None:
+        self.loss = loss
         self.dead_links: set = set()
         self.dead_endpoints: set = set()
         self.slow_links: Dict[object, float] = {}
@@ -147,15 +154,18 @@ class NIFaultGate:
 
     def link_gate(self, route, job):
         """Gate one transmission against the shared link-fault map."""
-        if not self.links.active:
-            return False
-        extra = self.links.extra_delay(route)
-        if extra > 0.0:
-            yield self.env.timeout(extra)
-        if self.links.drops(route):
-            self.dropped_links += 1
-            return True
-        return False
+        links = self.links
+        dropped = False
+        if links.active:
+            extra = links.extra_delay(route)
+            if extra > 0.0:
+                yield self.env.timeout(extra)
+            if links.drops(route):
+                self.dropped_links += 1
+                dropped = True
+        if links.loss is not None and links.loss.drops(job.packet):
+            dropped = True
+        return dropped
 
 
 class FaultInjector:
@@ -356,7 +366,7 @@ class FaultyMulticastSimulator(MulticastSimulator):
         retries forever against a dead parent (the reliable NI), and a
         safety net otherwise.
         """
-        env, trace, pool, registry, messages = self._execute(
+        env, pool, registry, messages = self._execute(
             [(tree, num_packets)], time_limit=time_limit, strict=False
         )
         message = messages[0]

@@ -1,12 +1,13 @@
 """Reliable multicast simulation over lossy channels (extension, [12]).
 
-:class:`ReliableMulticastSimulator` wires
-:class:`~repro.nic.reliable.ReliableFPFSInterface` NIs to a
-:class:`~repro.nic.reliable.LossyChannelPool` and installs the
-tree-parent map each NI needs to address its NACKs.  Every run is
-verified complete by the base collector (all destinations hold all
-packets), so a failed recovery protocol cannot masquerade as a fast
-one — the run would error out instead.
+:class:`ReliableMulticastSimulator` runs
+:class:`~repro.nic.reliable.ReliableFPFSInterface` NIs, makes every
+channel lossy by installing a seeded
+:class:`~repro.nic.reliable.BernoulliLoss` behind each NI's fault gate,
+and installs the tree-parent map each NI needs to address its NACKs.
+Every run is verified complete by the base collector (all destinations
+hold all packets), so a failed recovery protocol cannot masquerade as
+a fast one — the run would error out instead.
 """
 
 from __future__ import annotations
@@ -17,9 +18,8 @@ from ..core.trees import MulticastTree
 from ..network.topology import Topology
 from ..nic.interface import NICRegistry
 from ..nic.packets import Message
-from ..nic.reliable import LossyChannelPool, ReliableFPFSInterface
+from ..nic.reliable import BernoulliLoss, ReliableFPFSInterface
 from ..params import PAPER_PARAMS, SystemParams
-from ..sim import Environment
 from .simulator import MulticastSimulator
 
 __all__ = ["ReliableMulticastSimulator"]
@@ -27,6 +27,9 @@ __all__ = ["ReliableMulticastSimulator"]
 
 class ReliableMulticastSimulator(MulticastSimulator):
     """Multicast simulation with packet loss and NACK recovery.
+
+    Accepts every :class:`~repro.mcast.simulator.MulticastSimulator`
+    keyword except ``ni_class`` (always the reliable NI).
 
     Parameters
     ----------
@@ -44,28 +47,36 @@ class ReliableMulticastSimulator(MulticastSimulator):
         params: SystemParams = PAPER_PARAMS,
         loss_rate: float = 0.0,
         loss_seed: int = 0,
-        collect_trace: bool = False,
-        host_speed=None,
+        **kwargs,
     ) -> None:
-        super().__init__(
-            topology,
-            router,
-            params=params,
-            ni_class=ReliableFPFSInterface,
-            collect_trace=collect_trace,
-            host_speed=host_speed,
-        )
         if not (0.0 <= loss_rate < 1.0):
             raise ValueError(f"loss_rate must be in [0, 1), got {loss_rate}")
+        super().__init__(
+            topology, router, params=params, ni_class=ReliableFPFSInterface, **kwargs
+        )
         self.loss_rate = loss_rate
         self.loss_seed = loss_seed
-        #: Dropped-packet count of the most recent run.
-        self.last_dropped: Optional[int] = None
-        self._current_pool: Optional[LossyChannelPool] = None
+        # Loss model of the most recent run (None before the first run).
+        self._loss: Optional[BernoulliLoss] = None
 
-    def _make_pool(self, env: Environment) -> LossyChannelPool:
-        self._current_pool = LossyChannelPool(env, self.loss_rate, seed=self.loss_seed)
-        return self._current_pool
+    @property
+    def last_dropped(self) -> Optional[int]:
+        """Dropped-packet count of the most recent run."""
+        return self._loss.dropped if self._loss is not None else None
+
+    def _make_loss(self) -> BernoulliLoss:
+        """A fresh loss model per run, so repeated runs replay exactly."""
+        return BernoulliLoss(self.loss_rate, seed=self.loss_seed)
+
+    def _post_build(self, env, registry: NICRegistry, pool) -> None:
+        # Imported here, not at module level: importing repro.faults
+        # loads its chaos harness, which no plain multicast run needs.
+        from ..faults.inject import LinkFaultState, NIFaultGate
+
+        self._loss = self._make_loss()
+        links = LinkFaultState(loss=self._loss)
+        for ni in registry:
+            ni.fault_gate = NIFaultGate(env, ni, links)
 
     def _install_extras(
         self, registry: NICRegistry, tree: MulticastTree, message: Message
@@ -76,8 +87,3 @@ class ReliableMulticastSimulator(MulticastSimulator):
             ni = registry.lookup(node)
             assert isinstance(ni, ReliableFPFSInterface)
             ni.register_parent(message.msg_id, tree.parent(node))
-
-    def run_many(self, multicasts, time_limit=None):
-        results = super().run_many(multicasts, time_limit=time_limit)
-        self.last_dropped = self._current_pool.dropped if self._current_pool else 0
-        return results

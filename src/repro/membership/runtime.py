@@ -217,7 +217,7 @@ class ChurnSimulator(MulticastSimulator):
         self._repair_messages: List[Tuple[float, Message]] = []
 
         strict = not self.schedule
-        env, trace, pool, registry, messages = self._execute(
+        env, pool, registry, messages = self._execute(
             [(tree, m)], time_limit=time_limit, strict=strict
         )
         return self._collect_churn(registry, messages[0])

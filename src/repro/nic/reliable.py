@@ -8,26 +8,33 @@ multicast packets for replication, **recovery is parent-local** — a
 lost packet is retransmitted by the child's parent NI from its
 forwarding buffer, never by the source host.
 
-Mechanism (receiver-driven, NACK-based):
+The reliable NI is one more forwarding discipline on the base NI's
+send and receive engines, not a second engine: it hooks what the
+coprocessor does with a packet.
 
-* :class:`LossyChannelPool` drops each delivered packet with
-  probability ``loss_rate`` (seeded; control packets — NACKs — are
-  never dropped, standard for tiny control traffic).
-* Every NI retains the packets of a message in a retransmission buffer
-  keyed by ``(msg_id, index)`` while any child may still need them.
-* A receiver detects a *gap* (packet ``j`` arrives while ``i < j`` is
-  missing) and NACKs its parent for the missing indices; because
-  wormhole routes are fixed, per-message arrivals are otherwise
-  in-order.
+* Loss itself happens outside the NI, at the send engine's
+  post-transmit drop point: :class:`~repro.mcast.ReliableMulticastSimulator`
+  installs a seeded :class:`BernoulliLoss` behind every NI's
+  ``fault_gate.link_gate``, which drops each transmitted data packet
+  with probability ``loss_rate`` (control packets — NACKs — are never
+  dropped, standard for tiny control traffic).
+* :meth:`ReliableFPFSInterface.on_packet` retains every packet of a
+  message in a retransmission buffer keyed by ``(msg_id, index)``,
+  checks for a *gap* (packet ``j`` arrives while ``i < j`` is missing)
+  and NACKs its parent for the missing indices; because wormhole
+  routes are fixed, per-message arrivals are otherwise in-order.
 * Tail losses (the last packets of a message) produce no gap, so each
   receiver arms a quiet-period timer after every arrival; if the
   message is incomplete when the timer fires, it NACKs all missing
   indices and re-arms.
+* A NACK is a control payload: the receive engine hands it to
+  :meth:`~ReliableFPFSInterface.on_control`, which retransmits from the
+  retention buffer.  A duplicate arrival (a retransmission race) goes
+  to :meth:`~ReliableFPFSInterface.on_duplicate`, which drops it.
 
 The ``bench_ext_reliable`` benchmark measures the latency cost of
 reliability as the loss rate grows; delivery remains exactly-once at
-every destination (asserted by the simulator's duplicate detection and
-completion check).
+every destination (asserted by the simulator's completion check).
 """
 
 from __future__ import annotations
@@ -36,37 +43,34 @@ import random
 from dataclasses import dataclass
 from typing import Dict, Set, Tuple
 
-from ..network.links import ChannelPool
 from ..network.topology import Node
-from ..sim import Environment
 from .fpfs import FPFSInterface
 from .interface import SendJob
-from .packets import Message, Packet
+from .packets import Message, Packet, packetize
 
-__all__ = ["LossyChannelPool", "Nack", "ReliableFPFSInterface"]
+__all__ = ["BernoulliLoss", "Nack", "ReliableFPFSInterface"]
 
 
-class LossyChannelPool(ChannelPool):
-    """Channel pool whose deliveries fail with probability ``loss_rate``.
+class BernoulliLoss:
+    """Seeded loss of data packets: one draw per transmitted packet.
 
-    The loss draw happens once per packet transmission (the packet is
-    corrupted/dropped at the receiving NI), not per channel hop, which
-    matches the link-level CRC-drop behaviour [12] recovers from.
+    The draw is per transmission (the packet is corrupted and dropped
+    at the receiving NI), not per channel hop, which matches the
+    link-level CRC-drop behaviour [12] recovers from.  Control payloads
+    such as NACKs are never dropped and cost no draw.  ``rate`` is
+    validated by the caller (it must lie in ``[0, 1)``).
     """
 
-    def __init__(self, env: Environment, loss_rate: float, seed: int = 0) -> None:
-        super().__init__(env)
-        if not (0.0 <= loss_rate < 1.0):
-            raise ValueError(f"loss_rate must be in [0, 1), got {loss_rate}")
-        self.loss_rate = loss_rate
+    def __init__(self, rate: float, seed: int = 0) -> None:
+        self.rate = rate
         self._rng = random.Random(seed)
         self.dropped = 0
 
-    def should_drop(self, payload: object) -> bool:
-        """One loss draw; NACK control packets are never dropped."""
-        if isinstance(payload, Nack):
+    def drops(self, payload) -> bool:
+        """One loss draw for ``payload``; True if it is lost."""
+        if not isinstance(payload, Packet):
             return False
-        if self._rng.random() < self.loss_rate:
+        if self._rng.random() < self.rate:
             self.dropped += 1
             return True
         return False
@@ -84,8 +88,8 @@ class Nack:
 class ReliableFPFSInterface(FPFSInterface):
     """FPFS NI with NACK-based parent-local loss recovery.
 
-    Use with a :class:`LossyChannelPool`; with an ordinary pool it
-    degenerates to plain FPFS (plus idle timers).
+    Without a loss source it degenerates to plain FPFS (plus idle
+    timers).
     """
 
     #: Quiet period (µs) before an incomplete message triggers NACKs.
@@ -95,99 +99,42 @@ class ReliableFPFSInterface(FPFSInterface):
         super().__init__(*args, **kwargs)
         # Retransmission store: everything this NI has seen or injected.
         self._retain: Dict[Tuple[int, int], Packet] = {}
-        # Expected message lengths (from the first packet's header).
-        self._expected: Dict[int, Message] = {}
         # Timer generation per message: bumping it cancels older timers.
         self._timer_generation: Dict[int, int] = {}
         self._nacked_once: Set[Tuple[int, int]] = set()
+        # msg_id -> the tree parent that forwards this message to us.
+        self._tree_parents: Dict[int, Node] = {}
 
-    # -- send path ------------------------------------------------------------
-    def _send_engine(self):
-        """As the base engine, but applies the pool's loss draw."""
-        while True:
-            job: SendJob = yield self.send_queue.get()
-            if self.fault_gate is not None and (yield from self.fault_gate.send_gate(job)):
-                continue
-            start = self.env.now if self.tracer.enabled else 0.0
-            yield self.env.timeout(self.params.t_ns)
-            route = self.router.route(self.host, job.destination)
-            yield from self._transmit(self.env, self.pool, route, self.params)
-            delivered = True
-            if self.fault_gate is not None:
-                delivered = not (yield from self.fault_gate.link_gate(route, job))
-            if self.trace.enabled:
-                self.trace.log(
-                    "ni_send",
-                    src=self.host,
-                    dst=job.destination,
-                    msg=getattr(job.packet, "message", None) and job.packet.message.msg_id,
-                    pkt=getattr(job.packet, "index", None),
-                )
-            if self.tracer.enabled:
-                self.tracer.complete(
-                    "send",
-                    self.obs_track,
-                    start,
-                    self.env.now,
-                    cat="ni",
-                    args={
-                        "dst": str(job.destination),
-                        "pkt": getattr(job.packet, "index", None),
-                    },
-                )
-            if job.on_sent is not None:
-                job.on_sent()
-            dropped = isinstance(self.pool, LossyChannelPool) and self.pool.should_drop(
-                job.packet
+    # -- discipline hooks -------------------------------------------------------
+    def on_packet(self, packet: Packet) -> None:
+        self._retain[(packet.message.msg_id, packet.index)] = packet
+        self._check_gap(packet)
+        self._arm_timer(packet.message)
+        super().on_packet(packet)
+
+    def on_control(self, nack: Nack) -> None:
+        if self.tracer.enabled:
+            self.tracer.instant(
+                "retransmit",
+                self.obs_track,
+                cat="ni",
+                args={"msg": nack.msg_id, "indices": nack.indices},
             )
-            if delivered and not dropped:
-                self.registry.lookup(job.destination).recv_queue.put(job.packet)
+        for index in nack.indices:
+            packet = self._retain.get((nack.msg_id, index))
+            if packet is None:
+                # Not here yet (we lost it too): our own recovery will
+                # fetch it, and the child's timer will re-ask.
+                continue
+            self.send_queue.put(SendJob(packet, nack.requester))
 
-    # -- receive path ------------------------------------------------------------
-    def _recv_engine(self):
-        while True:
-            payload = yield self.recv_queue.get()
-            if self.fault_gate is not None and (yield from self.fault_gate.recv_gate(payload)):
-                continue
-            start = self.env.now if self.tracer.enabled else 0.0
-            yield self.env.timeout(self.params.t_nr)
-            if isinstance(payload, Nack):
-                self._handle_nack(payload)
-                continue
-            packet: Packet = payload
-            key = (packet.message.msg_id, packet.index)
-            if key in self.received_at:
-                # Duplicate from a retransmission race: drop silently.
-                continue
-            self.received_at[key] = self.env.now
-            if self.delivery_listener is not None:
-                self.delivery_listener(self, packet)
-            if self.trace.enabled:
-                self.trace.log(
-                    "ni_recv", host=self.host, msg=packet.message.msg_id, pkt=packet.index
-                )
-            if self.tracer.enabled:
-                self.tracer.complete(
-                    "recv",
-                    self.obs_track,
-                    start,
-                    self.env.now,
-                    cat="ni",
-                    args={"msg": packet.message.msg_id, "pkt": packet.index},
-                )
-            self._retain[key] = packet
-            self._expected.setdefault(packet.message.msg_id, packet.message)
-            self._check_gap(packet)
-            self._arm_timer(packet.message)
-            self.on_packet(packet)
+    def on_duplicate(self, packet: Packet) -> None:
+        """A retransmission race delivered a packet twice: drop it."""
 
     def inject_multicast(self, tree, message: Message):
         """Source side: also populate the retransmission store."""
-        from .packets import packetize
-
         for packet in packetize(message):
             self._retain[(message.msg_id, packet.index)] = packet
-        self._expected[message.msg_id] = message
         result = yield from super().inject_multicast(tree, message)
         return result
 
@@ -205,12 +152,6 @@ class ReliableFPFSInterface(FPFSInterface):
         if ni_parent is None:
             raise RuntimeError(f"no parent registered for message {msg_id} at {self.host!r}")
         return ni_parent
-
-    @property
-    def _tree_parents(self) -> Dict[int, Node]:
-        if not hasattr(self, "_tree_parents_store"):
-            self._tree_parents_store: Dict[int, Node] = {}
-        return self._tree_parents_store
 
     def register_parent(self, msg_id: int, parent: Node) -> None:
         """Installed by the reliable simulator alongside ``forwarding``."""
@@ -248,30 +189,8 @@ class ReliableFPFSInterface(FPFSInterface):
 
     def _send_nack(self, msg_id: int, indices: Tuple[int, ...]) -> None:
         parent = self._parent_of(msg_id)
-        if self.trace.enabled:
-            self.trace.log("nack", host=self.host, msg=msg_id, indices=indices)
         if self.tracer.enabled:
             self.tracer.instant(
-                "nack", self.obs_track, cat="ni", args={"msg": msg_id, "n": len(indices)}
+                "nack", self.obs_track, cat="ni", args={"msg": msg_id, "indices": indices}
             )
         self.send_queue.put(SendJob(Nack(msg_id, indices, self.host), parent))
-
-    def _handle_nack(self, nack: Nack) -> None:
-        if self.trace.enabled:
-            self.trace.log(
-                "retransmit", host=self.host, msg=nack.msg_id, indices=nack.indices
-            )
-        if self.tracer.enabled:
-            self.tracer.instant(
-                "retransmit",
-                self.obs_track,
-                cat="ni",
-                args={"msg": nack.msg_id, "n": len(nack.indices)},
-            )
-        for index in nack.indices:
-            packet = self._retain.get((nack.msg_id, index))
-            if packet is None:
-                # Not here yet (we lost it too): our own recovery will
-                # fetch it, and the child's timer will re-ask.
-                continue
-            self.send_queue.put(SendJob(packet, nack.requester))

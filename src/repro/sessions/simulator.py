@@ -187,7 +187,7 @@ class SessionSimulator(MulticastSimulator):
                     plan.tree, plan.session.num_packets
                 ).latency
 
-        env, trace, pool, registry = self._build_network()
+        env, pool, registry = self._build_network()
         messages: Dict[int, Message] = {}
 
         def start(plan: SessionPlan) -> Message:
@@ -217,7 +217,6 @@ class SessionSimulator(MulticastSimulator):
             )
         self._drain(env, time_limit=time_limit, strict=True)
 
-        self.last_trace = trace if self.collect_trace else None
         self.last_registry = registry
         self.last_arbiter = arbiter
         self._publish_gauges(registry)
@@ -233,7 +232,7 @@ class SessionSimulator(MulticastSimulator):
                 raise RuntimeError(
                     f"session {sid} never completed — scheduler or fabric bug"
                 )
-            mres = self._collect(registry, pool, message, trace)
+            mres = self._collect(registry, pool, message)
             admitted = arbiter.admitted_at[sid]
             latency = mres.completion_time - session.arrival_time + self.params.t_r
             results.append(

@@ -17,16 +17,22 @@ def setup(paper_topology, paper_router, paper_ordering):
 
 
 def test_components_nonnegative_and_consistent(setup):
-    sim, chain = setup
+    base, chain = setup
     tree = build_kbinomial_tree(chain, 2)
-    b = run_breakdown(sim, tree, 4)
-    assert b.sends == sum(1 for _ in tree.edges()) * 4
-    assert b.host_startup == sim.params.t_s
-    assert b.host_receive == sim.params.t_r
-    assert b.injection == pytest.approx(b.sends * sim.params.t_ns)
-    assert b.receive == pytest.approx(b.sends * sim.params.t_nr)
-    assert b.network > 0 and b.blocking >= 0
-    assert b.total_work > 0
+    for channel_model in ("path", "worm"):
+        sim = MulticastSimulator(base.topology, base.router, channel_model=channel_model)
+        b = run_breakdown(sim, tree, 4)
+        # The breakdown's run is the caller's configuration, not a default one.
+        direct = sim.run(tree, 4)
+        assert b.result.latency == direct.latency
+        assert b.blocking == direct.blocked_time
+        assert b.sends == sum(1 for _ in tree.edges()) * 4
+        assert b.host_startup == sim.params.t_s
+        assert b.host_receive == sim.params.t_r
+        assert b.injection == pytest.approx(b.sends * sim.params.t_ns)
+        assert b.receive == pytest.approx(b.sends * sim.params.t_nr)
+        assert b.network > 0 and b.blocking >= 0
+        assert b.total_work > 0
 
 
 def test_shares_sum_to_one(setup):
@@ -68,5 +74,5 @@ def test_caller_simulator_unchanged(setup):
     sim, chain = setup
     tree = build_kbinomial_tree(chain, 2)
     run_breakdown(sim, tree, 2)
-    assert sim.collect_trace is False
-    assert sim.last_trace is None
+    assert sim.tracer is None
+    assert sim.last_registry is None

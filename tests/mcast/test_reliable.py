@@ -6,8 +6,10 @@ import pytest
 
 from repro.core import build_kbinomial_tree
 from repro.mcast import ReliableMulticastSimulator, chain_for
-from repro.nic import LossyChannelPool, Nack
-from repro.sim import Environment
+from repro.nic import BernoulliLoss, Message, Nack, packetize
+from repro.obs import Tracer
+
+from ..nic.helpers import ni_events
 
 
 @pytest.fixture(scope="module")
@@ -17,28 +19,37 @@ def scenario(paper_topology, paper_router, paper_ordering):
     return paper_topology, paper_router, tree
 
 
+def data_packet():
+    return packetize(Message(("host", 0), (("host", 1),), 1))[0]
+
+
 class TestLossyChannelPool:
-    def test_loss_rate_validation(self):
-        env = Environment()
+    """The lossy channels' seeded per-packet draw (:class:`BernoulliLoss`)."""
+
+    def test_loss_rate_validation(self, scenario):
+        topology, router, _ = scenario
         with pytest.raises(ValueError):
-            LossyChannelPool(env, 1.0)
+            ReliableMulticastSimulator(topology, router, loss_rate=1.0)
         with pytest.raises(ValueError):
-            LossyChannelPool(env, -0.1)
+            ReliableMulticastSimulator(topology, router, loss_rate=-0.1)
 
     def test_zero_rate_never_drops(self):
-        pool = LossyChannelPool(Environment(), 0.0)
-        assert not any(pool.should_drop(object()) for _ in range(500))
+        loss = BernoulliLoss(0.0)
+        packet = data_packet()
+        assert not any(loss.drops(packet) for _ in range(500))
 
     def test_nacks_never_dropped(self):
-        pool = LossyChannelPool(Environment(), 0.9, seed=1)
+        loss = BernoulliLoss(0.9, seed=1)
         nack = Nack(1, (0,), ("host", 0))
-        assert not any(pool.should_drop(nack) for _ in range(200))
+        assert not any(loss.drops(nack) for _ in range(200))
+        assert loss.dropped == 0
 
     def test_drop_counting_and_determinism(self):
-        a = LossyChannelPool(Environment(), 0.3, seed=7)
-        b = LossyChannelPool(Environment(), 0.3, seed=7)
-        draws_a = [a.should_drop(object()) for _ in range(300)]
-        draws_b = [b.should_drop(object()) for _ in range(300)]
+        a = BernoulliLoss(0.3, seed=7)
+        b = BernoulliLoss(0.3, seed=7)
+        packet = data_packet()
+        draws_a = [a.drops(packet) for _ in range(300)]
+        draws_b = [b.drops(packet) for _ in range(300)]
         assert draws_a == draws_b
         assert a.dropped == sum(draws_a)
         assert 40 < a.dropped < 140  # ~90 expected
@@ -93,11 +104,12 @@ class TestReliableSimulator:
         # Retransmissions come from tree parents, not the source host:
         # the trace shows 'retransmit' events at intermediate NIs.
         topology, router, tree = scenario
+        tracer = Tracer()
         sim = ReliableMulticastSimulator(
-            topology, router, loss_rate=0.15, loss_seed=11, collect_trace=True
+            topology, router, loss_rate=0.15, loss_seed=11, tracer=tracer
         )
         sim.run(tree, 8)
-        retransmitters = {r["host"] for r in sim.last_trace.select("retransmit")}
+        retransmitters = {h for h, _ in ni_events(sim, tracer, "retransmit")}
         interior = {n for n in tree.nodes() if tree.fanout(n) and n != tree.root}
         assert retransmitters & interior, "expected some parent-local recovery"
 

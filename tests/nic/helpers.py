@@ -3,11 +3,13 @@
 ``star(n)`` builds a single-switch network: every host route is exactly
 two channels (host→switch→host) and host links never contend between
 different destination pairs, so NI-level timing is hand-checkable.
+``ni_events`` reads a run's NI events back from its tracer.
 """
 
 from __future__ import annotations
 
 from repro.network import Topology, UpDownRouter, switch
+from repro.obs import Track
 from repro.params import SystemParams
 
 #: Round-number timing: each send = t_ns(1) + wire(1); each receive = 1.
@@ -29,3 +31,17 @@ def star(n_hosts: int):
     for i in range(n_hosts):
         topo.add_host(i, switch(0))
     return topo, UpDownRouter(topo)
+
+
+def ni_events(sim, tracer, name: str):
+    """``(host, event)`` for each ``ni`` event ``name`` of ``sim``'s last run.
+
+    The host is the NI whose track the event is on; span ends are
+    ``event.ts + event.dur``.  Give every run a fresh ``tracer``.
+    """
+    host_of = {ni.obs_track: ni.host for ni in sim.last_registry}
+    return [
+        (host_of[Track(e.pid, e.tid)], e)
+        for e in tracer.events
+        if e.cat == "ni" and e.name == name
+    ]

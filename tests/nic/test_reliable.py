@@ -15,23 +15,25 @@ from repro.core import build_kbinomial_tree
 from repro.mcast import ReliableMulticastSimulator, chain_for
 from repro.mcast.orderings import cco_ordering
 from repro.network import UpDownRouter, build_irregular_network
-from repro.nic.reliable import LossyChannelPool, Nack, ReliableFPFSInterface
+from repro.nic.reliable import BernoulliLoss, Nack, ReliableFPFSInterface
+from repro.obs import Tracer
 from repro.sim import Environment
 
+from .helpers import ni_events
 
-class ScriptedLossPool(LossyChannelPool):
+
+class ScriptedLoss(BernoulliLoss):
     """Drops each packet index in ``drop_once`` exactly once."""
 
-    def __init__(self, env, drop_once, seed: int = 0) -> None:
-        super().__init__(env, loss_rate=0.5, seed=seed)  # rate unused below
+    def __init__(self, drop_once) -> None:
+        super().__init__(rate=0.0)
         self._drop_once = set(drop_once)
 
-    def should_drop(self, payload) -> bool:
+    def drops(self, payload) -> bool:
         if isinstance(payload, Nack):
             return False
-        index = getattr(payload, "index", None)
-        if index in self._drop_once:
-            self._drop_once.discard(index)
+        if payload.index in self._drop_once:
+            self._drop_once.discard(payload.index)
             self.dropped += 1
             return True
         return False
@@ -44,9 +46,8 @@ class ScriptedLossSimulator(ReliableMulticastSimulator):
         super().__init__(topology, router, loss_rate=0.0, **kwargs)
         self._drop_once = tuple(drop_once)
 
-    def _make_pool(self, env):
-        self._current_pool = ScriptedLossPool(env, self._drop_once)
-        return self._current_pool
+    def _make_loss(self):
+        return ScriptedLoss(self._drop_once)
 
 
 @pytest.fixture(scope="module")
@@ -62,11 +63,12 @@ def fabric():
 class TestHappyPath:
     def test_no_loss_no_recovery_traffic(self, fabric):
         topology, router, tree = fabric
-        sim = ScriptedLossSimulator(topology, router, drop_once=(), collect_trace=True)
+        tracer = Tracer()
+        sim = ScriptedLossSimulator(topology, router, drop_once=(), tracer=tracer)
         result = sim.run(tree, 4)
         assert sim.last_dropped == 0
-        assert not list(sim.last_trace.select("nack"))
-        assert not list(sim.last_trace.select("retransmit"))
+        assert not ni_events(sim, tracer, "nack")
+        assert not ni_events(sim, tracer, "retransmit")
         assert len(result.destination_completion) == 5
 
     def test_retransmission_store_holds_all_packets(self, fabric):
@@ -86,13 +88,14 @@ class TestDropPaths:
         # Drop packet 1 once: some receiver sees packet 2 with 1
         # missing — a gap — and must NACK exactly the missing index.
         topology, router, tree = fabric
-        sim = ScriptedLossSimulator(topology, router, drop_once=(1,), collect_trace=True)
+        tracer = Tracer()
+        sim = ScriptedLossSimulator(topology, router, drop_once=(1,), tracer=tracer)
         result = sim.run(tree, 4)  # completion is verified by the collector
         assert sim.last_dropped == 1
-        nacks = list(sim.last_trace.select("nack"))
-        assert nacks and all(1 in record["indices"] for record in nacks)
-        retransmits = list(sim.last_trace.select("retransmit"))
-        assert retransmits and all(1 in record["indices"] for record in retransmits)
+        nacks = ni_events(sim, tracer, "nack")
+        assert nacks and all(1 in e.args["indices"] for _, e in nacks)
+        retransmits = ni_events(sim, tracer, "retransmit")
+        assert retransmits and all(1 in e.args["indices"] for _, e in retransmits)
         assert len(result.destination_completion) == 5
 
     def test_tail_loss_recovered_by_timer_not_gap(self, fabric):
@@ -101,14 +104,13 @@ class TestDropPaths:
         topology, router, tree = fabric
         m = 4
         clean = ScriptedLossSimulator(topology, router, drop_once=())
-        lossy = ScriptedLossSimulator(
-            topology, router, drop_once=(m - 1,), collect_trace=True
-        )
+        tracer = Tracer()
+        lossy = ScriptedLossSimulator(topology, router, drop_once=(m - 1,), tracer=tracer)
         baseline = clean.run(tree, m).latency
         recovered = lossy.run(tree, m)
         assert lossy.last_dropped == 1
-        nacks = list(lossy.last_trace.select("nack"))
-        assert nacks and all(m - 1 in record["indices"] for record in nacks)
+        nacks = ni_events(lossy, tracer, "nack")
+        assert nacks and all(m - 1 in e.args["indices"] for _, e in nacks)
         assert recovered.latency >= baseline + ReliableFPFSInterface.NACK_TIMEOUT
 
     def test_duplicate_retransmissions_are_dropped_silently(self, fabric):
@@ -116,9 +118,7 @@ class TestDropPaths:
         # several children; the parent answers each, and any duplicate
         # arrivals must be absorbed (plain FPFS NIs would raise).
         topology, router, tree = fabric
-        sim = ScriptedLossSimulator(
-            topology, router, drop_once=(0, 2), collect_trace=True
-        )
+        sim = ScriptedLossSimulator(topology, router, drop_once=(0, 2))
         result = sim.run(tree, 4)
         assert sim.last_dropped == 2
         assert len(result.destination_completion) == 5
