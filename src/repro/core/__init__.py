@@ -57,6 +57,7 @@ from .pipeline import (
     conventional_latency_model,
     fcfs_schedule,
     fcfs_total_steps,
+    fpfs_one_port,
     fpfs_schedule,
     fpfs_total_steps,
     multicast_latency_model,
@@ -108,6 +109,7 @@ __all__ = [
     "fcfs_total_steps",
     "fcfs_buffer_time",
     "fpfs_buffer_time",
+    "fpfs_one_port",
     "fpfs_schedule",
     "fpfs_total_steps",
     "linear_tree_steps",

@@ -90,14 +90,15 @@ def optimal_k(n: int, m: int) -> int:
 
     With ``REPRO_SURFACE=1`` the answer comes from the installed
     :class:`~repro.core.surface.AnalyticSurface` in O(1) (grown on
-    miss); otherwise from the memoized scalar search.  The two are
-    bit-equal by the differential equivalence suite.
+    miss, up to ``m = MAX_M_MAX``); otherwise from the memoized scalar
+    search.  The two are bit-equal by the differential equivalence
+    suite.
     """
     if n < 2:
         raise ValueError(f"need at least one destination, got n={n}")
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    if _surface.surface_enabled():
+    if _surface.surface_enabled() and m <= _surface.MAX_M_MAX:
         return _surface.surface_optimal_k(n, m)
     return optimal_k_scalar(n, m)
 

@@ -16,6 +16,10 @@ This module provides:
   as the ground truth the theorems are verified against (the theorem
   formula assumes no interior node out-fans the root, which k-binomial
   trees guarantee; the scheduler is exact even when that fails).
+* :func:`fpfs_one_port` — the one-port schedule in closed form, one
+  O(n) level-order pass (Theorem 1 per node, below).  It returns the
+  same cells as :func:`fpfs_schedule` with ``ports=1``, for any tree
+  and any ``m``, without walking the packets.
 * :func:`fpfs_total_steps` — completion step of the last packet at the
   last destination.
 * :func:`theorem2_steps` — the closed-form ``T1 + (m-1) * k_T``.
@@ -24,6 +28,19 @@ This module provides:
 * :func:`conventional_latency_model` — µs latency of conventional-NI
   binomial multicast, ``ceil(log2 n) * (m * t_step + t_s + t_r)``
   extended from the paper's single-packet expression.
+
+Theorem 1 per node.  Theorem 1's argument holds at every node, not
+only at the root.  Let ``P(v)`` be the largest fan-out among ``v``'s
+strict ancestors (0 at the source).  Under one-port FPFS, node ``v``
+receives packet ``p`` at step ``first(v) + p·P(v)``, and the ``i``-th
+child of ``v`` (1-based, in send order) receives packet 0 at
+``first(v) + i``.  By induction down the tree: ``v``'s packets arrive
+``P(v)`` steps apart and each occupies ``v``'s port for ``fanout(v)``
+steps, so ``v`` sends packet ``p`` to its children every
+``max(P(v), fanout(v))`` steps — the children's ``P``.  The proof
+sketch is in ``docs/THEORY.md``; tests pin the form against
+:func:`fpfs_schedule`, which stays the oracle and the only schedule for
+``ports > 1``.
 """
 
 from __future__ import annotations
@@ -38,6 +55,7 @@ from .trees import MulticastTree
 __all__ = [
     "fcfs_schedule",
     "fcfs_total_steps",
+    "fpfs_one_port",
     "fpfs_schedule",
     "fpfs_total_steps",
     "packet_completion_steps",
@@ -103,6 +121,29 @@ def fpfs_schedule(
             heapq.heappush(heap, (step + 1, p, seq, child))
             seq += 1
     return recv
+
+
+def fpfs_one_port(tree: MulticastTree) -> Tuple[Dict[Hashable, int], Dict[Hashable, int]]:
+    """One-port FPFS schedule in closed form: ``(first, period)`` per node.
+
+    One level-order pass, O(n) and independent of ``m``.  Node ``v``
+    receives packet ``p`` at ``first[v] + p * period[v]``: ``first`` is
+    the packet-0 schedule and ``period`` is ``P(v)``, the largest
+    fan-out among ``v``'s strict ancestors (0 at the source).  Equal to
+    ``fpfs_schedule(tree, m, ports=1)`` cell for cell, for every ``m``.
+    """
+    first: Dict[Hashable, int] = {tree.root: 0}
+    period: Dict[Hashable, int] = {tree.root: 0}
+    order = [tree.root]
+    for node in order:
+        children = tree.children(node)
+        t = first[node]
+        inherited = max(period[node], len(children))
+        for offset, child in enumerate(children, start=1):
+            first[child] = t + offset
+            period[child] = inherited
+            order.append(child)
+    return first, period
 
 
 def fpfs_total_steps(tree: MulticastTree, m: int, ports: int = 1) -> int:

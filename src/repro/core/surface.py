@@ -93,6 +93,11 @@ DEFAULT_M_MAX = 64
 #: Hard cap on surface growth, far above any modeled machine.
 MAX_N_MAX = 1 << 22
 
+#: Largest packet count the dispatchers grow a surface to cover.  Its
+#: tables are O(n_max · log n_max · m_max), so past this ``optimal_k``
+#: answers from the scalar search instead (O(log n) per call, bit-equal).
+MAX_M_MAX = 1 << 10
+
 
 def _ceil_log2(n: int) -> int:
     """``ceil(log2 n)`` exactly, via bit length (no float rounding)."""

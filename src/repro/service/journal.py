@@ -4,9 +4,10 @@ The plan service's speed comes from its memo tables
 (:func:`~repro.service.planner._schedule_rows` and the
 :mod:`repro.core.cache` layers underneath) — and those die with the
 process.  After a restart, the first client to ask for each popular
-``(n, k, m, ports)`` shape pays the full O(n·m) schedule construction
-again: a cold-cache latency cliff exactly when the service just proved
-it can crash.
+``(n, k, m, ports)`` shape pays the cold plan again: the O(n) one-port
+closed form plus the fan-out search and tree build, or the full O(n·m)
+exact schedule walk for a multi-port plan — a cold-cache latency cliff
+exactly when the service just proved it can crash.
 
 :class:`RequestJournal` removes the cliff.  The server appends one
 checksummed JSON line per *distinct* accepted plan request (the

@@ -7,6 +7,15 @@ schedule with its cost breakdown — ``T1`` steps for the first packet,
 ``(m-1)·k_T`` pipeline steps for the rest (Theorem 2), and the
 ``c·t_sq`` NI buffer residence bound (§3.3.2).
 
+The schedule is O(n) for the paper's one-port model: Theorem 1 holds
+per node, so one level-order pass over the memoized tree gives every
+node's packet-0 step and pipeline period
+(:func:`~repro.core.pipeline.fpfs_one_port`), and ``m`` only scales the
+period.  A multi-port request (``params.ports > 1``) has no proven
+closed form and walks the exact O(n·m)
+:func:`~repro.core.pipeline.fpfs_schedule`; the request's own ``ports``
+picks the path.
+
 Everything here is pure and memoized: requests are keyed on
 ``(n, m, MachineParams)``, node identity never matters (``range(n)``
 stands in for any chain, as in :func:`repro.core.cache`), and the
@@ -16,8 +25,8 @@ so the service's cache hit rate is observable via
 
 With ``REPRO_SURFACE=1`` the analytic half of a plan (the Theorem-3
 fan-out search and ``T1``) is served from the vectorized
-:class:`~repro.core.surface.AnalyticSurface` in O(1); the exact FPFS
-schedule stays on the memoized scalar path, which remains the oracle.
+:class:`~repro.core.surface.AnalyticSurface` in O(1); the per-node
+schedule stays on the memoized path above.
 """
 
 from __future__ import annotations
@@ -30,7 +39,7 @@ from ..core.cache import cached_build_kbinomial_tree, cached_steps_needed, regis
 from ..core.surface import surface_enabled, surface_steps_needed
 from ..durable.errors import ValidationError
 from ..core.optimal import optimal_k
-from ..core.pipeline import fpfs_schedule
+from ..core.pipeline import fpfs_one_port, fpfs_schedule
 from ..params import PAPER_MACHINE, MachineParams
 
 __all__ = ["NodePlan", "PlanRequest", "PlanResult", "plan"]
@@ -68,10 +77,11 @@ class PlanRequest:
             raise ValidationError(f"m must be >= 1, got {self.m}")
         if not isinstance(self.params, MachineParams):
             raise ValidationError(f"params must be MachineParams, got {type(self.params).__name__}")
-        exclude = tuple(sorted(set(self.exclude)))
-        for node in exclude:
+        for node in self.exclude:
             if isinstance(node, bool) or not isinstance(node, int):
                 raise ValidationError(f"exclude entries must be integers, got {node!r}")
+        exclude = tuple(sorted(set(self.exclude)))
+        for node in exclude:
             if node == 0:
                 raise ValidationError("cannot exclude the source (position 0)")
             if not (1 <= node <= self.n - 1):
@@ -201,12 +211,19 @@ class PlanResult:
 def _schedule_rows(n: int, k: int, m: int, ports: int) -> Tuple[NodePlan, ...]:
     """Memoized per-node schedule of the canonical k-binomial tree.
 
-    The exact :func:`~repro.core.pipeline.fpfs_schedule` run is the
-    expensive part of a plan (O(n·m) events); everything in
-    :func:`plan` that isn't this is O(n) assembly.
+    One-port: the closed form, O(n) whatever ``m`` is — node ``v``
+    receives its last packet at ``first(v) + (m-1)·P(v)``.  Multi-port:
+    the exact :func:`~repro.core.pipeline.fpfs_schedule` run, O(n·m)
+    events.  Both read the shared memoized tree.
     """
     tree = cached_build_kbinomial_tree(range(n), k)
-    recv = fpfs_schedule(tree, m, ports=ports)
+    if ports == 1:
+        first, period = fpfs_one_port(tree)
+        last = {node: first[node] + (m - 1) * period[node] for node in range(n)}
+    else:
+        recv = fpfs_schedule(tree, m, ports=ports)
+        first = {node: recv[(node, 0)] for node in range(n)}
+        last = {node: recv[(node, m - 1)] for node in range(n)}
     rows = []
     for node in range(n):
         children = tree.children(node)
@@ -214,10 +231,10 @@ def _schedule_rows(n: int, k: int, m: int, ports: int) -> Tuple[NodePlan, ...]:
             NodePlan(
                 node=node,
                 parent=None if node == tree.root else tree.parent(node),
-                children=tuple(children),
-                child_first_send=tuple(recv[(child, 0)] for child in children),
-                first_recv=recv[(node, 0)],
-                last_recv=recv[(node, m - 1)],
+                children=children,
+                child_first_send=tuple(first[child] for child in children),
+                first_recv=first[node],
+                last_recv=last[node],
             )
         )
     return tuple(rows)

@@ -91,9 +91,24 @@ __all__ = ["PlanServer"]
 #: bigger is a confused or hostile client).
 MAX_LINE_BYTES = 64 * 1024
 
+#: Largest ``n·m`` accepted for a multi-port plan.  One-port plans are
+#: O(n) in closed form; a ``ports > 1`` plan walks the exact O(n·m)
+#: FPFS schedule, whose time and memory grow with ``n·m``.
+MAX_MULTIPORT_WORK = 2**20
+
 
 class _BadRequest(ValueError):
     """Parse/validation failure with a client-facing message."""
+
+
+def _check_multiport_work(request: PlanRequest) -> PlanRequest:
+    """Refuse a multi-port plan whose exact schedule walk is too large."""
+    if request.params.ports > 1 and request.n * request.m > MAX_MULTIPORT_WORK:
+        raise _BadRequest(
+            f"n*m={request.n * request.m} exceeds {MAX_MULTIPORT_WORK} "
+            f"for a multi-port plan (ports={request.params.ports})"
+        )
+    return request
 
 
 def _parse_plan_request(payload: dict, max_n: int) -> PlanRequest:
@@ -116,7 +131,7 @@ def _parse_plan_request(payload: dict, max_n: int) -> PlanRequest:
         raise _BadRequest(str(exc)) from exc
     if request.n > max_n:
         raise _BadRequest(f"n={request.n} exceeds this server's max_n={max_n}")
-    return request
+    return _check_multiport_work(request)
 
 
 def _parse_amend_request(payload: dict, max_n: int) -> PlanRequest:
@@ -160,7 +175,7 @@ def _parse_amend_request(payload: dict, max_n: int) -> PlanRequest:
         raise _BadRequest(str(exc)) from exc
     if request.n > max_n:
         raise _BadRequest(f"amended n={request.n} exceeds this server's max_n={max_n}")
-    return request
+    return _check_multiport_work(request)
 
 
 class PlanServer:

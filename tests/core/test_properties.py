@@ -14,12 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
+    MulticastTree,
     build_binomial_tree,
     build_kbinomial_tree,
     check_chain_locality,
     check_covers,
     check_fanout_cap,
     coverage,
+    fpfs_one_port,
     fpfs_schedule,
     fpfs_total_steps,
     min_k_binomial,
@@ -186,3 +188,28 @@ def test_multiport_schedule_dominance(n, k, m, ports):
             sends[(tree.parent(child), step)] += 1
     assert all(count <= ports for count in sends.values())
     assert max(schedule.values()) <= fpfs_total_steps(tree, m, ports=1)
+
+
+@st.composite
+def one_port_trees(draw):
+    """Arbitrary rooted trees: node ``i`` hangs under some earlier node.
+
+    Interior fan-outs are free to exceed the root's, the case Theorem 1's
+    premise excludes and the per-node closed form still covers.
+    """
+    n = draw(st.integers(min_value=1, max_value=40))
+    tree = MulticastTree(0)
+    for node in range(1, n):
+        tree.add_child(draw(st.integers(min_value=0, max_value=node - 1)), node)
+    return tree
+
+
+@settings(max_examples=80)
+@given(tree=one_port_trees(), m=st.integers(min_value=1, max_value=16))
+def test_one_port_closed_form_equals_exact_schedule(tree, m):
+    """Theorem 1 per node: packet p reaches v at first(v) + p·P(v)."""
+    first, period = fpfs_one_port(tree)
+    schedule = fpfs_schedule(tree, m)
+    assert len(first) == len(period) == len(tree)
+    for (node, p), step in schedule.items():
+        assert first[node] + p * period[node] == step

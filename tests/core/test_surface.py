@@ -23,6 +23,7 @@ from repro.core import (
     clear_caches,
     install_surface,
     installed_surface,
+    optimal_k,
     optimal_k_exact,
     optimal_k_exact_scalar,
     optimal_k_scalar,
@@ -34,6 +35,7 @@ from repro.core import (
 from repro.core.surface import (
     DEFAULT_M_MAX,
     DEFAULT_N_MAX,
+    MAX_M_MAX,
     MAX_N_MAX,
     surface_optimal_k,
     surface_optimal_k_exact,
@@ -191,6 +193,16 @@ def test_dispatchers_install_and_grow(monkeypatch):
 
     assert surface_steps_needed(300, 2) == steps_needed(300, 2)
     assert surface_stats()["misses"] == 2
+
+
+def test_optimal_k_past_the_m_cap_uses_the_scalar_search(monkeypatch):
+    """A huge m never grows the tables, whose size is linear in m_max."""
+    monkeypatch.setenv("REPRO_SURFACE", "1")
+    m = MAX_M_MAX + 1
+    assert optimal_k(200, m) == optimal_k_scalar(200, m)
+    assert installed_surface() is None
+    assert optimal_k(200, MAX_M_MAX) == optimal_k_scalar(200, MAX_M_MAX)
+    assert installed_surface().m_max == MAX_M_MAX
 
 
 def test_surface_scope_restores_env_and_instance(monkeypatch):

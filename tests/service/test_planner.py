@@ -9,12 +9,13 @@ import pytest
 from repro.core import (
     build_kbinomial_tree,
     cached_kbinomial_steps,
+    clear_caches,
     fpfs_schedule,
     optimal_k,
     steps_needed,
 )
 from repro.params import MachineParams
-from repro.service import PlanRequest, PlanResult, plan
+from repro.service import PlanRequest, PlanResult, plan, planner
 
 GRID = [(n, m) for n in (2, 3, 8, 16, 31, 64) for m in (1, 2, 8, 32)]
 
@@ -24,18 +25,37 @@ class TestPlanMatchesCore:
     def test_k_is_theorem_3(self, n, m):
         assert plan(PlanRequest(n=n, m=m)).k == optimal_k(n, m)
 
-    @pytest.mark.parametrize("n,m", GRID)
-    def test_schedule_matches_exact_fpfs(self, n, m):
-        result = plan(PlanRequest(n=n, m=m))
+    @pytest.mark.parametrize(
+        "n,m,ports",
+        # One-port plans use the closed form, multi-port the exact walk;
+        # both must match the exact schedule of their own port count.
+        [pytest.param(n, m, 1, id=f"{n}-{m}") for n, m in GRID]
+        + [pytest.param(n, m, 2, id=f"{n}-{m}-ports2") for n, m in GRID],
+    )
+    def test_schedule_matches_exact_fpfs(self, n, m, ports):
+        result = plan(PlanRequest(n=n, m=m, params=MachineParams(ports=ports)))
         tree = build_kbinomial_tree(range(n), result.k)
-        recv = fpfs_schedule(tree, m)
+        recv = fpfs_schedule(tree, m, ports=ports)
         for row in result.schedule:
             assert row.children == tree.children(row.node)
             assert row.first_recv == recv[(row.node, 0)]
             assert row.last_recv == recv[(row.node, m - 1)]
             assert row.child_first_send == tuple(recv[(c, 0)] for c in row.children)
         assert result.total_steps == max(recv.values())
-        assert result.total_steps == cached_kbinomial_steps(n, result.k, m)
+        assert result.total_steps == cached_kbinomial_steps(n, result.k, m, ports)
+
+    def test_one_port_plan_never_walks_the_packets(self, monkeypatch):
+        """One-port rows come from the closed form: O(n), whatever m is."""
+
+        def walk(*args, **kwargs):
+            raise AssertionError("one-port plan walked fpfs_schedule")
+
+        clear_caches()
+        monkeypatch.setattr(planner, "fpfs_schedule", walk)
+        result = plan(PlanRequest(n=256, m=10**6))
+        assert result.total_steps == result.t1 + (10**6 - 1) * result.root_fanout
+        with pytest.raises(AssertionError, match="walked"):
+            plan(PlanRequest(n=16, m=4, params=MachineParams(ports=2)))
 
     @pytest.mark.parametrize("n,m", GRID)
     def test_theorem_2_breakdown(self, n, m):
@@ -131,6 +151,7 @@ class TestExclude:
             ((-1,), "outside"),
             (("x",), "integers"),
             ((1, 2, 3, 4, 5, 6, 7), "leaves no destinations"),
+            ((1, "x"), "integers"),
         ],
     )
     def test_invalid_exclusions_rejected(self, exclude, fragment):

@@ -129,6 +129,16 @@ class TestAdmissionControl:
         assert error.code == "bad_request"
         assert "max_n" in error.message
 
+    def test_one_port_plan_is_not_bounded_by_n_times_m(self):
+        async def body():
+            server = await started_server()
+            async with await PlanClient.connect("127.0.0.1", server.port) as client:
+                result = await client.plan(256, 10**6)
+            await server.shutdown()
+            return result
+
+        assert run(body()) == plan(PlanRequest(n=256, m=10**6))
+
     def test_request_timeout_answers_timeout_error(self):
         async def body():
             server = await started_server(request_timeout=0.05, max_delay=0.3)
@@ -152,6 +162,12 @@ class TestBadRequests:
             ({"type": "plan", "n": 8, "m": 2, "params": {"bogus": 1}}, "unknown params"),
             ({"type": "frobnicate"}, "unknown request type"),
             ({"n": 8, "m": 2}, "unknown request type"),
+            ({"type": "plan", "n": 256, "m": 40000, "params": {"ports": 2}}, "multi-port"),
+            (
+                {"type": "amend", "n": 256, "m": 40000, "params": {"ports": 2},
+                 "delta": {"join": 1}},
+                "multi-port",
+            ),
         ],
     )
     def test_validation_failures_return_bad_request(self, payload, fragment):

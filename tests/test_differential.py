@@ -27,6 +27,12 @@ over ``n ∈ [2, 512] × m ∈ [1, 64]`` for the paper variant, over a
 reduced grid (plus a slow-marked full one) for the exact variant, and
 end-to-end through :func:`repro.service.plan` under both
 ``REPRO_SURFACE`` modes for two machine presets.
+
+Another axis pins the planner's one-port closed form
+(:func:`~repro.core.pipeline.fpfs_one_port`) to the exact scheduler:
+every plan row equals :func:`~repro.core.pipeline.fpfs_schedule` over
+``n ∈ [2, 129]``, every legal k and ``m ∈ {1, 2, 3, 7, 16}`` (slow),
+with a smoke subset in tier-1.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ from repro.core import (
     clear_caches,
     coverage,
     fcfs_total_steps,
+    fpfs_schedule,
     fpfs_total_steps,
     installed_surface,
     min_k_binomial,
@@ -57,6 +64,7 @@ from repro.network import Topology, UpDownRouter, host, switch
 from repro.nic import FCFSInterface
 from repro.params import PAPER_MACHINE, MachineParams, SystemParams
 from repro.service import PlanRequest, plan
+from repro.service.planner import _schedule_rows
 
 #: Step-aligned parameters: one send = t_ns(1) + wire(1) = 2 units, no
 #: host overheads, so DES completion time == steps * STEP_COST exactly.
@@ -302,6 +310,42 @@ def test_surface_plan_bit_equal_across_modes(params):
             assert installed_surface() is not None
         clear_caches()
         assert fast_result.to_dict() == scalar_result.to_dict(), (n, m)
+
+
+# ---------------------------------------------------------------------------
+# Closed form ≡ exact scheduler: the planner's one-port rows against
+# fpfs_schedule, which stays the oracle.
+# ---------------------------------------------------------------------------
+
+#: Packet counts of the closed-form grid.
+CLOSED_FORM_MS = (1, 2, 3, 7, 16)
+
+
+def _check_plan_rows(n: int) -> None:
+    """Every one-port plan row of every legal k equals the exact schedule."""
+    for k in range(1, min_k_binomial(n) + 1):
+        tree = build_kbinomial_tree(range(n), k)
+        for m in CLOSED_FORM_MS:
+            recv = fpfs_schedule(tree, m)
+            for row in _schedule_rows(n, k, m, 1):
+                assert row.first_recv == recv[(row.node, 0)], (n, k, m, row.node)
+                assert row.last_recv == recv[(row.node, m - 1)], (n, k, m, row.node)
+                assert row.child_first_send == tuple(
+                    recv[(child, 0)] for child in row.children
+                ), (n, k, m, row.node)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 16, 33, 100, 129])
+def test_closed_form_plan_rows_smoke(n):
+    """Tier-1 subset of the grid below: small, perfect and slack sizes."""
+    _check_plan_rows(n)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n", range(2, 130))
+def test_closed_form_plan_rows_full_grid(n):
+    """n ∈ [2, 129] × every k ∈ [1, ⌈log2 n⌉] × m ∈ {1, 2, 3, 7, 16}."""
+    _check_plan_rows(n)
 
 
 # ---------------------------------------------------------------------------
