@@ -5,7 +5,7 @@ The surface exists to make fig12-shaped sweeps (optimal k over a whole
 that claim with numbers: one cold ``AnalyticSurface.build`` over the
 full ``n ≤ 512, m ≤ 64`` grid, then the warm-path comparison — a
 single ``optimal_k_grid`` extraction against the same grid walked
-point-by-point through the *warm* ``optimal_k_scalar`` memo (every
+point-by-point through the *warm* ``optimal_k`` memo (every
 call an ``lru_cache`` hit, the best the scalar path can do).
 
 Claim asserted: the surface extraction beats the warm memo walk by at
@@ -20,7 +20,8 @@ import time
 import numpy as np
 
 from repro.analysis import render_table
-from repro.core import AnalyticSurface, optimal_k_scalar
+from repro.core import optimal_k
+from repro.core.surface import AnalyticSurface
 
 N_MAX = 512
 M_MAX = 64
@@ -45,10 +46,10 @@ def test_surface_warm_lookup_speedup(benchmark, show):
     # Warm the scalar memo so its walk is pure lru_cache hits.
     for n in N_VALUES:
         for m in M_VALUES:
-            optimal_k_scalar(n, m)
+            optimal_k(n, m)
 
     def memo_walk():
-        return [[optimal_k_scalar(n, m) for m in M_VALUES] for n in N_VALUES]
+        return [[optimal_k(n, m) for m in M_VALUES] for n in N_VALUES]
 
     def surface_extract():
         return surface.optimal_k_grid(N_VALUES, M_VALUES)
@@ -90,11 +91,11 @@ def test_surface_build_amortizes_quickly(show):
     surface = AnalyticSurface.build(N_MAX, M_MAX)
     build_s = time.perf_counter() - started
 
-    optimal_k_scalar.cache_clear()
+    optimal_k.cache_clear()
     started = time.perf_counter()
     for n in N_VALUES[::7]:  # sampled cold scalar walk, scaled up below
         for m in M_VALUES:
-            optimal_k_scalar(n, m)
+            optimal_k(n, m)
     sampled_s = time.perf_counter() - started
     estimated_cold_s = sampled_s * 7
 

@@ -30,7 +30,6 @@ Quickstart::
 """
 
 from .core import (
-    AnalyticSurface,
     MulticastTree,
     OptimalKTable,
     build_binomial_tree,
@@ -49,7 +48,6 @@ from .core import (
     packet_completion_steps,
     predicted_steps,
     steps_needed,
-    surface_enabled,
     theorem2_steps,
 )
 from .mcast import (
@@ -78,7 +76,6 @@ from .sessions import Session, SessionResult, SessionSetResult, SessionSimulator
 __version__ = "1.0.0"
 
 __all__ = [
-    "AnalyticSurface",
     "ConventionalInterface",
     "EcubeRouter",
     "FCFSInterface",
@@ -122,7 +119,6 @@ __all__ = [
     "predicted_steps",
     "random_ordering",
     "steps_needed",
-    "surface_enabled",
     "switch",
     "theorem2_steps",
     "__version__",

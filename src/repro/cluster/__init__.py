@@ -1,9 +1,9 @@
 """Sharded plan-service cluster: ring, shard workers, router, client.
 
 One :class:`~repro.service.PlanServer` is the throughput ceiling of the
-whole stack — the per-plan math is microseconds after the PR 6 surface
-work, so scaling means routing plan *keys* across processes, not
-making plans faster.  This package is that layer:
+whole stack — a warm plan costs microseconds and a cold one-port plan
+about a millisecond, so scaling means routing plan *keys* across
+processes, not making plans faster.  This package is that layer:
 
 :mod:`repro.cluster.ring`
     A deterministic consistent-hash ring over the ``(n, m,
@@ -13,7 +13,7 @@ making plans faster.  This package is that layer:
     process that holds the same shard map routes identically.
 :mod:`repro.cluster.shard`
     Shard worker processes: each runs the existing ``PlanServer``
-    (surface-mode aware, journal-backed for warm handoff) as a child
+    (journal-backed for warm handoff) as a child
     process spawned through the CLI, plus fault-schedule-scripted
     SIGKILLs for chaos drills.
 :mod:`repro.cluster.router`

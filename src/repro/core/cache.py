@@ -51,9 +51,8 @@ from functools import lru_cache
 from typing import Dict, Sequence
 
 from .kbinomial import build_kbinomial_tree, coverage, steps_needed
-from .optimal import optimal_k_scalar
+from .optimal import optimal_k
 from .pipeline import fpfs_total_steps
-from .surface import SurfaceCacheAdapter
 from .trees import MulticastTree
 
 __all__ = [
@@ -134,17 +133,14 @@ def cached_kbinomial_steps(n: int, k: int, m: int, ports: int = 1) -> int:
 
 #: Every cache clear_caches()/cache_stats() manages.  The coverage and
 #: optimal_k entries are the pre-existing module-level lru_caches; the
-#: surface entry adapts the installed
-#: :class:`~repro.core.surface.AnalyticSurface` (clearing uninstalls
-#: it, stats report its dispatcher hits/misses); the rest live here.
+#: rest live here.
 _REGISTRY = {
     "coverage": coverage,
-    "optimal_k": optimal_k_scalar,
+    "optimal_k": optimal_k,
     "steps_needed": cached_steps_needed,
     "build_kbinomial_tree": _build_tree,
     "fpfs_total_steps": cached_fpfs_total_steps,
     "kbinomial_steps": cached_kbinomial_steps,
-    "surface": SurfaceCacheAdapter(),
 }
 
 #: Serializes registry-wide operations (stats / clear / register) so

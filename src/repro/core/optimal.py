@@ -21,12 +21,11 @@ Two search modes:
   be smaller than k when n is far from N(s, k)).  Never worse than the
   paper formula; the ablation bench quantifies the difference.
 
-Both searches dispatch to the vectorized
-:class:`~repro.core.surface.AnalyticSurface` when ``REPRO_SURFACE=1``
-(O(1) table lookups after one grid-wide build); the scalar bodies —
-:func:`optimal_k_scalar` / :func:`optimal_k_exact_scalar` — remain the
-**permanent correctness oracle** the surface is differentially tested
-against, and serve every call when the gate is off.
+``optimal_k`` is memoized (its ``lru_cache`` is the ``"optimal_k"``
+entry of the :mod:`repro.core.cache` registry).  Both searches are the
+**correctness oracle** the vectorized
+:class:`~repro.core.surface.AnalyticSurface` grid tool is
+differentially tested against.
 """
 
 from __future__ import annotations
@@ -34,16 +33,13 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Callable, Dict, Tuple
 
-from . import surface as _surface
 from .kbinomial import build_kbinomial_tree, min_k_binomial, steps_needed
 from .pipeline import fpfs_total_steps
 
 __all__ = [
     "predicted_steps",
     "optimal_k",
-    "optimal_k_scalar",
     "optimal_k_exact",
-    "optimal_k_exact_scalar",
     "OptimalKTable",
     "linear_tree_steps",
 ]
@@ -66,8 +62,8 @@ def linear_tree_steps(n: int, m: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def optimal_k_scalar(n: int, m: int) -> int:
-    """The scalar Theorem-3 search — the surface's correctness oracle.
+def optimal_k(n: int, m: int) -> int:
+    """The paper's optimal fan-out for ``n`` nodes and ``m`` packets.
 
     Searches ``k in [1, ceil(log2 n)]`` minimizing
     :func:`predicted_steps`; ties go to the *largest* k (so ``m = 1``
@@ -85,31 +81,13 @@ def optimal_k_scalar(n: int, m: int) -> int:
     return best_k
 
 
-def optimal_k(n: int, m: int) -> int:
-    """The paper's optimal fan-out for ``n`` nodes and ``m`` packets.
+def optimal_k_exact(n: int, m: int, ports: int = 1) -> int:
+    """Fan-out cap whose *constructed* tree minimizes exact FPFS steps.
 
-    With ``REPRO_SURFACE=1`` the answer comes from the installed
-    :class:`~repro.core.surface.AnalyticSurface` in O(1) (grown on
-    miss, up to ``m = MAX_M_MAX``); otherwise from the memoized scalar
-    search.  The two are bit-equal by the differential equivalence
-    suite.
-    """
-    if n < 2:
-        raise ValueError(f"need at least one destination, got n={n}")
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if _surface.surface_enabled() and m <= _surface.MAX_M_MAX:
-        return _surface.surface_optimal_k(n, m)
-    return optimal_k_scalar(n, m)
-
-
-def optimal_k_exact_scalar(n: int, m: int, ports: int = 1) -> int:
-    """The scalar exact search — the exact surface's correctness oracle.
-
-    Evaluates each candidate k by running the exact step scheduler on
-    the actual Fig. 11 tree.  Ties go to the smallest k (smaller
-    fan-out means less NI buffering and fewer same-step messages in
-    the network).
+    Extension beyond the paper: evaluates each candidate k by running
+    the exact step scheduler on the actual Fig. 11 tree.  Ties go to
+    the smallest k (smaller fan-out means less NI buffering and fewer
+    same-step messages in the network).
     """
     if n < 2:
         raise ValueError(f"need at least one destination, got n={n}")
@@ -120,23 +98,6 @@ def optimal_k_exact_scalar(n: int, m: int, ports: int = 1) -> int:
         if best_steps is None or steps < best_steps:
             best_k, best_steps = k, steps
     return best_k  # type: ignore[return-value]
-
-
-def optimal_k_exact(n: int, m: int, ports: int = 1) -> int:
-    """Fan-out cap whose *constructed* tree minimizes exact FPFS steps.
-
-    Extension beyond the paper (see :func:`optimal_k_exact_scalar` for
-    the search itself).  With ``REPRO_SURFACE=1`` and an installed
-    surface carrying exact tables for this ``ports`` count, the answer
-    is an O(1) lookup; any mismatch (different ports, missing tables,
-    out of bounds) falls back to the scalar search — a stale surface
-    can never answer for the wrong machine view.
-    """
-    if _surface.surface_enabled():
-        value = _surface.surface_optimal_k_exact(n, m, ports=ports)
-        if value is not None:
-            return value
-    return optimal_k_exact_scalar(n, m, ports=ports)
 
 
 class OptimalKTable:

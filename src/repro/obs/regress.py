@@ -103,7 +103,7 @@ def _gate_durable() -> None:
 
 def _gate_surface() -> None:
     """A18 distilled: one cold analytic-surface build plus an extraction."""
-    from ..core import AnalyticSurface
+    from ..core.surface import AnalyticSurface
 
     surface = AnalyticSurface.build(192, 24)
     surface.optimal_k_grid(tuple(range(2, 193)), tuple(range(1, 25)))

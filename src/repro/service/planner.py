@@ -22,11 +22,9 @@ stands in for any chain, as in :func:`repro.core.cache`), and the
 schedule memo registers itself in the :mod:`repro.core.cache` registry
 so the service's cache hit rate is observable via
 :func:`~repro.core.cache.cache_stats` (the ``plan_schedule`` entry).
-
-With ``REPRO_SURFACE=1`` the analytic half of a plan (the Theorem-3
-fan-out search and ``T1``) is served from the vectorized
-:class:`~repro.core.surface.AnalyticSurface` in O(1); the per-node
-schedule stays on the memoized path above.
+The analytic half of a plan — the Theorem-3 fan-out search and ``T1``
+— comes from the memoized :func:`~repro.core.optimal.optimal_k` and
+:func:`~repro.core.cache.cached_steps_needed`.
 """
 
 from __future__ import annotations
@@ -36,7 +34,6 @@ from functools import lru_cache
 from typing import Optional, Tuple
 
 from ..core.cache import cached_build_kbinomial_tree, cached_steps_needed, register_cache
-from ..core.surface import surface_enabled, surface_steps_needed
 from ..durable.errors import ValidationError
 from ..core.optimal import optimal_k
 from ..core.pipeline import fpfs_one_port, fpfs_schedule
@@ -274,15 +271,7 @@ def plan(request: PlanRequest) -> PlanResult:
         )
     root_fanout = len(rows[0].children)
     max_fanout = max(len(row.children) for row in rows)
-    # REPRO_SURFACE=1 serves T1 (and, via optimal_k above, the fan-out
-    # search) from the vectorized surface in O(1); the scalar memo
-    # remains the oracle and the default.  Latency/buffer costs take
-    # `params` per call, so a MachineParams change can never go stale
-    # inside the surface tables.
-    if surface_enabled():
-        t1 = surface_steps_needed(n_eff, k)
-    else:
-        t1 = cached_steps_needed(n_eff, k)
+    t1 = cached_steps_needed(n_eff, k)
     total_steps = max(row.last_recv for row in rows)
     return PlanResult(
         n=n,

@@ -27,17 +27,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
-    AnalyticSurface,
     build_kbinomial_tree,
-    coverage,
     fpfs_total_steps,
     min_k_binomial,
-    optimal_k_exact_scalar,
-    optimal_k_scalar,
+    optimal_k,
+    optimal_k_exact,
     predicted_steps,
     steps_needed,
 )
-from repro.core.surface import _exact_completion
+from repro.core.surface import AnalyticSurface, _exact_completion
 
 RELAXED = settings(
     max_examples=25,
@@ -89,8 +87,8 @@ def test_boundaries_match_scalar(n, k):
     """Edges: n=1/n=2, m=1, and k clamped past the last column."""
     assert SURFACE.steps_needed(1, k) == steps_needed(1, k) == 0
     assert SURFACE.steps_needed(n, k + SURFACE.k_max) == steps_needed(n, k + SURFACE.k_max)
-    assert SURFACE.optimal_k(2, 1) == optimal_k_scalar(2, 1) == 1
-    assert SURFACE.optimal_k(n, 1) == optimal_k_scalar(n, 1)
+    assert SURFACE.optimal_k(2, 1) == optimal_k(2, 1) == 1
+    assert SURFACE.optimal_k(n, 1) == optimal_k(n, 1)
     assert SURFACE.predicted_steps(n, k, 1) == SURFACE.steps_needed(n, k)
 
 
@@ -119,7 +117,7 @@ def test_paper_tie_break_takes_largest_minimizer(n, m):
     winners = [k for k, v in objective.items() if v == best]
     chosen = SURFACE.optimal_k(n, m)
     assert chosen == max(winners), (n, m, winners)
-    assert chosen == optimal_k_scalar(n, m), (n, m)
+    assert chosen == optimal_k(n, m), (n, m)
     assert SURFACE.optimal_steps(n, m) == best, (n, m)
 
 
@@ -137,7 +135,7 @@ def test_exact_tie_break_takes_smallest_minimizer(n, m):
     winners = [k for k, v in objective.items() if v == best]
     chosen = surf.optimal_k_exact(n, m)
     assert chosen == min(winners), (n, m, winners)
-    assert chosen == optimal_k_exact_scalar(n, m), (n, m)
+    assert chosen == optimal_k_exact(n, m), (n, m)
 
 
 @RELAXED

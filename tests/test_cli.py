@@ -113,6 +113,21 @@ def test_plan_rejects_bad_n(capsys):
     assert "n must be" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["optimal-k", "-n", "1", "-m", "4"],
+        ["optimal-k", "-n", "8", "-m", "0"],
+        ["tree", "-n", "1", "-m", "4"],
+        ["tree", "-n", "8", "-k", "0"],
+        ["surface", "--n-max", str(1 << 22), "--m-max", "64"],
+    ],
+)
+def test_bad_analytic_flags_exit_2(capsys, argv):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_trace_command_writes_perfetto_json(capsys, tmp_path):
     import json
 

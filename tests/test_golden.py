@@ -64,23 +64,23 @@ GOLDEN_SEC51_RUNS = {
 
 @pytest.fixture(scope="module")
 def fig12_surface():
-    from repro.core import AnalyticSurface
+    from repro.core.surface import AnalyticSurface
 
     return AnalyticSurface.build(64, 35)
 
 
-def test_golden_fig12a_surface_path(fig12_surface):
+def test_golden_fig12a_surface_path():
     from repro.analysis import fig12a_optimal_k
 
-    series = fig12a_optimal_k(surface=fig12_surface)
+    series = fig12a_optimal_k()
     assert series[63] == GOLDEN_FIG12A_63
     assert series[15] == GOLDEN_FIG12A_15
 
 
-def test_golden_fig12b_surface_path(fig12_surface):
+def test_golden_fig12b_surface_path():
     from repro.analysis import fig12b_optimal_k
 
-    series = fig12b_optimal_k(surface=fig12_surface)
+    series = fig12b_optimal_k()
     assert series[1] == GOLDEN_FIG12B_M1
     assert series[8] == GOLDEN_FIG12B_M8
 

@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -77,3 +80,19 @@ def test_star_import_is_clean():
     exec("from repro import *", namespace)  # noqa: S102 - deliberate
     assert "MulticastSimulator" in namespace
     assert "optimal_k" in namespace
+
+
+def test_import_does_not_load_numpy():
+    """numpy (~0.2 s to import) loads only when an analytic surface is built."""
+    import repro
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys, repro, repro.sessions, repro.service, repro.cluster; "
+        "print('numpy' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
