@@ -33,9 +33,10 @@ Observability flags (see docs/ARCHITECTURE.md "Observability"):
 writes a Chrome trace-event JSON (open in https://ui.perfetto.dev);
 ``--stats`` prints the unified metrics snapshot (service counters,
 cache hit rates, sim buffer gauges) after the command runs;
-``--profile-out PATH [--profile-hz N]`` on the sweep/serve/sessions
-commands samples the command's wall-clock stacks (``.json`` writes a
-speedscope profile, any other suffix collapsed flamegraph stacks).
+``--profile-out PATH [--profile-hz N]`` on the sweep, campaign and
+serve commands samples the command's wall-clock stacks (``.json``
+writes a speedscope profile, any other suffix collapsed flamegraph
+stacks).
 """
 
 from __future__ import annotations
@@ -461,81 +462,13 @@ def _cmd_reliable(args) -> None:
     )
 
 
-def _cmd_chaos(args) -> None:
-    """Fault-injection sweep: scenarios × seeds, survival table out."""
-    import json as _json
-
-    from .faults import chaos_smoke, chaos_sweep, records_json, survival_table
-    from .params import PAPER_PARAMS
-
-    if args.smoke:
-        records = chaos_smoke(workers=args.workers)
-    else:
-        m = PAPER_PARAMS.packets_for(args.bytes)
-        seeds = tuple(range(args.seed, args.seed + args.runs))
-        records = chaos_sweep(
-            seeds=seeds, dests=args.dests, m=m, workers=args.workers,
-            checkpoint=_checkpoint_of(args),
-        )
-    print(survival_table(records))
-    if args.smoke:
-        print("chaos smoke OK: baseline clean, every fault scenario survived")
-    if args.out:
-        from .obs import run_manifest
-
-        from .durable import atomic_write_json
-
-        payload = {
-            "version": 1,
-            "manifest": run_manifest(
-                seed=args.seed, extra={"command": "chaos", "smoke": bool(args.smoke)}
-            ),
-            "records": _json.loads(records_json(records)),
-        }
-        atomic_write_json(args.out, payload, sort_keys=True)
-        print(f"wrote {args.out}")
-    _report_checkpoint(args)
-    _maybe_stats(args)
-
-
-def _cmd_churn(args) -> None:
-    """Dynamic-membership sweep: churn scenarios × seeds, delivery table."""
-    import json as _json
-
-    from .membership import churn_smoke, churn_sweep, churn_table, records_json
-    from .params import PAPER_PARAMS
-
-    if args.smoke:
-        records = churn_smoke(workers=args.workers)
-    else:
-        m = PAPER_PARAMS.packets_for(args.bytes)
-        seeds = tuple(range(args.seed, args.seed + args.runs))
-        records = churn_sweep(
-            seeds=seeds, dests=args.dests, m=m, workers=args.workers,
-            checkpoint=_checkpoint_of(args),
-        )
-    print(churn_table(records))
-    if args.smoke:
-        print(
-            "churn smoke OK: baseline bit-identical, every churn scenario "
-            "delivered 100% to stable members"
-        )
-    if args.out:
-        from .obs import run_manifest
-
-        from .durable import atomic_write_json
-
-        payload = {
-            "version": 1,
-            "manifest": run_manifest(
-                seed=args.seed, extra={"command": "churn", "smoke": bool(args.smoke)}
-            ),
-            "records": _json.loads(records_json(records)),
-        }
-        atomic_write_json(args.out, payload, sort_keys=True)
-        print(f"wrote {args.out}")
-    _report_checkpoint(args)
-    _maybe_stats(args)
+#: Campaign subcommand -> (module, name) of its Campaign value, imported
+#: on first use so loading the CLI never loads the fault or churn layers.
+_CAMPAIGNS = {
+    "chaos": ("repro.faults.chaos", "CHAOS"),
+    "churn": ("repro.membership.sweep", "CHURN"),
+    "sessions": ("repro.sessions.sweep", "SESSIONS"),
+}
 
 
 def _sessions_grid(args):
@@ -590,41 +523,36 @@ def _trace_sessions(args) -> None:
     )
 
 
-def _cmd_sessions(args) -> None:
-    """Concurrent-sessions sweep: schedulers × offered load, one table out."""
-    import json as _json
+def _cmd_campaign(args) -> None:
+    """One seeded campaign sweep (chaos, churn or sessions), one table out."""
+    import importlib
 
-    from .params import PAPER_PARAMS
-    from .sessions import records_json, sessions_smoke, sessions_sweep, sessions_table
+    from .analysis.campaign import write_records
 
+    module, name = _CAMPAIGNS[args.command]
+    campaign = getattr(importlib.import_module(module), name)
+    checkpoint = _checkpoint_of(args)
     if args.smoke:
-        records = sessions_smoke(workers=args.workers)
+        records = campaign.smoke(workers=args.workers, checkpoint=checkpoint)
     else:
-        schedulers, loads = _sessions_grid(args)
-        m = PAPER_PARAMS.packets_for(args.bytes)
-        seeds = tuple(range(args.seed, args.seed + args.runs))
-        records = sessions_sweep(
-            schedulers, loads, seeds,
-            workers=args.workers, checkpoint=_checkpoint_of(args),
-            arrival=args.arrival, count=args.count, dests=args.dests, m=m,
-            max_active=args.max_active,
-        )
-    print(sessions_table(records))
+        from .params import PAPER_PARAMS
+
+        grid = dict(campaign.grid, seed=range(args.seed, args.seed + args.runs))
+        kwargs = {"dests": args.dests, "m": PAPER_PARAMS.packets_for(args.bytes)}
+        if args.command == "sessions":
+            grid["scheduler"], grid["load"] = _sessions_grid(args)
+            kwargs.update(arrival=args.arrival, count=args.count, max_active=args.max_active)
+        records = campaign.run(grid, workers=args.workers, checkpoint=checkpoint, **kwargs)
+    print(campaign.table(records))
     if args.smoke:
-        print("sessions smoke OK: every session completed, contention measured")
+        print(f"{campaign.name} smoke OK: {campaign.smoke_summary}")
     if args.out:
-        from .durable import atomic_write_json
         from .obs import run_manifest
 
-        payload = {
-            "version": 1,
-            "manifest": run_manifest(
-                seed=args.seed, extra={"command": "sessions", "smoke": bool(args.smoke)}
-            ),
-            "records": _json.loads(records_json(records)),
-        }
-        atomic_write_json(args.out, payload, sort_keys=True)
-        print(f"wrote {args.out}")
+        manifest = run_manifest(
+            seed=args.seed, extra={"command": args.command, "smoke": bool(args.smoke)}
+        )
+        print(f"wrote {write_records(args.out, records, manifest)}")
     if getattr(args, "trace_out", None):
         _trace_sessions(args)
     _report_checkpoint(args)
@@ -996,19 +924,10 @@ def build_parser() -> argparse.ArgumentParser:
             help="sampling rate for --profile-out (default 100)",
         )
 
-    def add_sim_options(p):
-        p.add_argument("--full", action="store_true", help="paper's 30x10 protocol")
-        p.add_argument("--topologies", type=int, default=3)
-        p.add_argument("--dest-sets", type=int, default=6)
-        p.add_argument("--seed", type=int, default=1997)
-        p.add_argument("--csv", default=None, help="also write the series as CSV")
+    def add_sweep_options(p):
         p.add_argument(
             "--workers", type=int, default=1,
-            help="processes for the sweep grid (1 = serial)",
-        )
-        p.add_argument(
-            "--trace-out", dest="trace_out", default=None, metavar="PATH",
-            help="write a Chrome trace of the sweep (open in Perfetto)",
+            help="processes for the sweep grid (results identical for any count)",
         )
         p.add_argument(
             "--checkpoint", default=None, metavar="PATH",
@@ -1020,6 +939,18 @@ def build_parser() -> argparse.ArgumentParser:
             help="require the --checkpoint file to already exist",
         )
         add_profile_options(p)
+
+    def add_sim_options(p):
+        p.add_argument("--full", action="store_true", help="paper's 30x10 protocol")
+        p.add_argument("--topologies", type=int, default=3)
+        p.add_argument("--dest-sets", type=int, default=6)
+        p.add_argument("--seed", type=int, default=1997)
+        p.add_argument("--csv", default=None, help="also write the series as CSV")
+        p.add_argument(
+            "--trace-out", dest="trace_out", default=None, metavar="PATH",
+            help="write a Chrome trace of the sweep (open in Perfetto)",
+        )
+        add_sweep_options(p)
 
     p = sub.add_parser("fig12a", help="optimal k vs packets (analytic)")
     p.add_argument("--max-m", type=int, default=35)
@@ -1112,69 +1043,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_reliable)
 
-    p = sub.add_parser("chaos", help="fault-injection sweep (survival curves)")
-    p.add_argument("--smoke", action="store_true", help="CI-sized check: every scenario once")
-    p.add_argument("--seed", type=int, default=0, help="first sweep seed")
-    p.add_argument("--runs", type=int, default=3, help="seeds per scenario")
-    p.add_argument("--dests", type=int, default=31)
-    p.add_argument("--bytes", type=int, default=512)
-    p.add_argument(
-        "--workers", type=int, default=1,
-        help="processes for the scenario grid (results identical for any count)",
-    )
-    p.add_argument("--out", default=None, metavar="PATH", help="write records + manifest JSON")
-    p.add_argument(
-        "--checkpoint", default=None, metavar="PATH",
-        help="journal completed chunks here; rerun with the same path to "
-             "resume a killed sweep",
-    )
-    p.add_argument(
-        "--resume", action="store_true",
-        help="require the --checkpoint file to already exist",
-    )
-    p.add_argument(
-        "--stats", action="store_true",
-        help="print the unified metrics snapshot after the sweep",
-    )
-    add_profile_options(p)
-    p.set_defaults(func=_cmd_chaos)
+    campaigns = {}
+    for name, help_text, dests in (
+        ("chaos", "fault-injection sweep (survival curves)", 31),
+        ("churn", "dynamic-membership sweep (joins/leaves mid-multicast)", 31),
+        ("sessions", "concurrent multicast sessions under contention-aware scheduling", 15),
+    ):
+        p = campaigns[name] = sub.add_parser(name, help=help_text)
+        p.add_argument(
+            "--smoke", action="store_true",
+            help="CI-sized check: the campaign's smoke grid, contract asserted",
+        )
+        p.add_argument("--seed", type=int, default=0, help="first sweep seed")
+        p.add_argument("--runs", type=int, default=3, help="seeds per grid cell")
+        p.add_argument(
+            "--dests", type=int, default=dests,
+            help="destinations per multicast (sessions: the largest set)",
+        )
+        p.add_argument("--bytes", type=int, default=512, help="message size")
+        p.add_argument("--out", default=None, metavar="PATH", help="write records + manifest JSON")
+        p.add_argument(
+            "--stats", action="store_true",
+            help="print the unified metrics snapshot after the sweep",
+        )
+        add_sweep_options(p)
+        p.set_defaults(func=_cmd_campaign)
 
-    p = sub.add_parser(
-        "churn", help="dynamic-membership sweep (joins/leaves mid-multicast)"
-    )
-    p.add_argument("--smoke", action="store_true", help="CI-sized check: every scenario once")
-    p.add_argument("--seed", type=int, default=0, help="first sweep seed")
-    p.add_argument("--runs", type=int, default=3, help="seeds per scenario")
-    p.add_argument("--dests", type=int, default=31)
-    p.add_argument("--bytes", type=int, default=512)
-    p.add_argument(
-        "--workers", type=int, default=1,
-        help="processes for the scenario grid (results identical for any count)",
-    )
-    p.add_argument("--out", default=None, metavar="PATH", help="write records + manifest JSON")
-    p.add_argument(
-        "--checkpoint", default=None, metavar="PATH",
-        help="journal completed chunks here; rerun with the same path to "
-             "resume a killed sweep",
-    )
-    p.add_argument(
-        "--resume", action="store_true",
-        help="require the --checkpoint file to already exist",
-    )
-    p.add_argument(
-        "--stats", action="store_true",
-        help="print the unified metrics snapshot after the sweep",
-    )
-    add_profile_options(p)
-    p.set_defaults(func=_cmd_churn)
-
-    p = sub.add_parser(
-        "sessions", help="concurrent multicast sessions under contention-aware scheduling"
-    )
-    p.add_argument(
-        "--smoke", action="store_true",
-        help="CI-sized check: FIFO vs CDA at high offered load",
-    )
+    p = campaigns["sessions"]
     p.add_argument(
         "--schedulers", default="fifo,rr,sjf,cda",
         help="comma list of admission schedulers (fifo|rr|sjf|cda)",
@@ -1188,40 +1083,16 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["flash_crowd", "poisson", "batch"],
         help="arrival process shaping the workload",
     )
-    p.add_argument("--seed", type=int, default=0, help="first sweep seed")
-    p.add_argument("--runs", type=int, default=3, help="seeds per (scheduler, load) cell")
     p.add_argument("--count", type=int, default=10, help="sessions per run")
-    p.add_argument("--dests", type=int, default=15, help="largest destination-set size")
-    p.add_argument("--bytes", type=int, default=512, help="message size per session")
     p.add_argument(
         "--max-active", dest="max_active", type=int, default=2,
         help="concurrent-session admission slots",
-    )
-    p.add_argument(
-        "--workers", type=int, default=1,
-        help="processes for the sweep grid (results identical for any count)",
-    )
-    p.add_argument("--out", default=None, metavar="PATH", help="write records + manifest JSON")
-    p.add_argument(
-        "--checkpoint", default=None, metavar="PATH",
-        help="journal completed chunks here; rerun with the same path to "
-             "resume a killed sweep",
-    )
-    p.add_argument(
-        "--resume", action="store_true",
-        help="require the --checkpoint file to already exist",
     )
     p.add_argument(
         "--trace-out", dest="trace_out", default=None, metavar="PATH",
         help="write a Chrome trace of one representative run — each session "
              "gets its own named track (open in Perfetto)",
     )
-    p.add_argument(
-        "--stats", action="store_true",
-        help="print the unified metrics snapshot after the sweep",
-    )
-    add_profile_options(p)
-    p.set_defaults(func=_cmd_sessions)
 
     p = sub.add_parser("decoster", help="compare with De Coster [2] host packetization")
     p.add_argument("-n", type=int, default=64, help="multicast set size")

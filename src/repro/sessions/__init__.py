@@ -7,8 +7,10 @@ shared fabric (FIFO, round-robin interleave, shortest-session-first,
 congestion+dilation-aware), the :class:`SessionArbiter` shares links
 and NI ports across whoever is live, and
 :meth:`SessionSimulator.run_sessions` reports the per-session latency
-distribution (p50/p95/p99, slowdown vs. isolated).  A single admitted
-session is bit-identical to a solo
+distribution (p50/p95/p99, slowdown vs. isolated), and the
+:data:`SESSIONS` campaign sweeps schedulers × offered load
+(``repro-mcast sessions``).  A single admitted session is
+bit-identical to a solo
 :meth:`~repro.mcast.simulator.MulticastSimulator.run` — the solo path
 stays the permanent oracle.
 """
@@ -34,20 +36,13 @@ from .schedulers import (
 )
 from .session import Session, SessionResult, SessionSetResult, nearest_rank
 from .simulator import SessionSimulator
-from .sweep import (
-    DEFAULT_LOADS,
-    records_json,
-    sessions_alert_log,
-    sessions_point,
-    sessions_smoke,
-    sessions_sweep,
-    sessions_table,
-)
+from .sweep import DEFAULT_LOADS, SESSIONS, sessions_point, sessions_table
 
 __all__ = [
     "ARRIVALS",
     "DEFAULT_LOADS",
     "SCHEDULERS",
+    "SESSIONS",
     "SESSION_METRICS",
     "CongestionDilationScheduler",
     "FifoScheduler",
@@ -67,10 +62,6 @@ __all__ = [
     "make_scheduler",
     "nearest_rank",
     "poisson_sessions",
-    "records_json",
-    "sessions_alert_log",
     "sessions_point",
-    "sessions_smoke",
-    "sessions_sweep",
     "sessions_table",
 ]

@@ -8,37 +8,25 @@ gauges.  ``load`` is a dimensionless offered-load multiplier: it
 shrinks the flash-crowd window (or batch spacing) and scales the
 Poisson rate, so higher load = more simultaneous sessions.
 
-The sweep runs on :func:`repro.analysis.sweep.run_sweep`, inheriting
-``workers=N`` process fan-out, progress, checkpoint/resume, and the
-grid-order merge — :func:`records_json` of the same grid is
-byte-identical for any worker count (the determinism suite pins
-workers=1 vs 4), and a killed campaign resumes from its checkpoint.
+:data:`SESSIONS` is this sweep as a
+:class:`~repro.analysis.campaign.Campaign` (``repro-mcast sessions``):
+records are byte-identical for any worker count, a killed campaign
+resumes from its checkpoint, and its alert log replays the records
+through the ``session_slowdown`` SLO.
 """
 
 from __future__ import annotations
 
-import json
-import os
-from functools import partial
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence
 
+from ..analysis.campaign import Campaign
 from ..analysis.experiments import _testbed
-from ..analysis.sweep import run_sweep
 from ..analysis.tables import render_table
-from ..obs.tracer import Tracer
 from .arrivals import generate_sessions
 from .schedulers import SCHEDULERS
 from .simulator import SessionSimulator
 
-__all__ = [
-    "DEFAULT_LOADS",
-    "records_json",
-    "sessions_alert_log",
-    "sessions_point",
-    "sessions_smoke",
-    "sessions_sweep",
-    "sessions_table",
-]
+__all__ = ["DEFAULT_LOADS", "SESSIONS", "sessions_point", "sessions_table"]
 
 #: The three canonical offered-load points of the weekly benchmark.
 DEFAULT_LOADS = (0.5, 1.0, 2.0)
@@ -118,41 +106,9 @@ def sessions_point(
     record.update(result.summary())
     if measure_isolated:
         # Per-session slowdowns feed the session_slowdown SLO replay
-        # (:func:`sessions_alert_log`); the summary only keeps aggregates.
+        # (``SESSIONS.alert_log``); the summary only keeps aggregates.
         record["slowdowns"] = [float(s) for s in result.slowdowns]
     return record
-
-
-def sessions_sweep(
-    schedulers: Sequence[str] = tuple(sorted(SCHEDULERS)),
-    loads: Sequence[float] = DEFAULT_LOADS,
-    seeds: Sequence[int] = (0, 1, 2),
-    *,
-    workers: int = 1,
-    tracer: Optional[Tracer] = None,
-    checkpoint: Union[None, str, os.PathLike] = None,
-    **point_kwargs,
-) -> List[dict]:
-    """All scheduler × load × seed session records, in grid order.
-
-    Results are independent of ``workers`` (grid-order merge), so the
-    canonical :func:`records_json` serialization is byte-identical for
-    any worker count; ``checkpoint`` journals completed chunks so a
-    killed campaign resumes instead of restarting.
-    """
-    points = run_sweep(
-        partial(sessions_point, **point_kwargs),
-        {"scheduler": list(schedulers), "load": list(loads), "seed": list(seeds)},
-        workers=workers,
-        tracer=tracer,
-        checkpoint=checkpoint,
-    )
-    return [p.value for p in points]
-
-
-def records_json(records: Sequence[dict]) -> str:
-    """Canonical JSON for a record list (sorted keys, compact, stable)."""
-    return json.dumps(list(records), sort_keys=True, separators=(",", ":"))
 
 
 def sessions_table(records: Sequence[dict]) -> str:
@@ -193,64 +149,25 @@ def sessions_table(records: Sequence[dict]) -> str:
     )
 
 
-def sessions_alert_log(
-    records: Sequence[dict],
-    *,
-    spacing: float = 1.0,
-    threshold: Optional[float] = None,
-) -> dict:
-    """Replay session records through the session-slowdown SLO.
+def _slowdown_events(record: dict, spec) -> list:
+    """A session record as session-slowdown SLO events.
 
-    Each record's per-session slowdowns (when measured) become good/bad
-    events against the SLO's slowdown bound on a synthetic timeline —
-    record ``i`` at ``t = i * spacing`` seconds — so a sweep's record
-    list deterministically reproduces its alert log.  Records without
-    ``slowdowns`` fall back to one weighted event on ``max_slowdown``.
-
-    Returns ``{"alerts": [...], "slo": <snapshot>, "records": N}``.
+    Each per-session slowdown (when measured) is one event against the
+    SLO's bound; records without ``slowdowns`` fall back to one event
+    on ``max_slowdown``, weighted by the completed-session count.
     """
-    from ..obs.slo import SLOSet, default_slos
-
-    specs = [s for s in default_slos() if s.name == "session_slowdown"]
-    bound = specs[0].bound or float("inf")
-    kwargs = {} if threshold is None else {"threshold": threshold}
-    slos = SLOSet(specs, clock=lambda: 0.0, **kwargs)
-    for index, record in enumerate(records):
-        t = index * spacing
-        slowdowns = record.get("slowdowns")
-        if slowdowns:
-            for slowdown in slowdowns:
-                slos.record("session_slowdown", slowdown <= bound, t=t)
-        else:
-            weight = max(1, int(record.get("completed", 1)))
-            good = record.get("max_slowdown", 0.0) <= bound
-            slos.record("session_slowdown", good, weight=weight, t=t)
-    final_t = (len(records) - 1) * spacing if records else 0.0
-    return {
-        "alerts": slos.alert_dicts(),
-        "slo": slos.snapshot(t=final_t),
-        "records": len(records),
-    }
+    bound = spec.bound or float("inf")
+    slowdowns = record.get("slowdowns")
+    if slowdowns:
+        return [(slowdown <= bound, 1.0) for slowdown in slowdowns]
+    weight = max(1, int(record.get("completed", 1)))
+    return [(record.get("max_slowdown", 0.0) <= bound, weight)]
 
 
-def sessions_smoke(workers: int = 1) -> List[dict]:
-    """The CI-sized sessions run: FIFO vs CDA at high offered load.
-
-    Sanity-checks the subsystem end to end: every session of every run
-    must complete, no session may finish faster than its isolated
-    baseline (slowdown ≥ 1), and the flash crowd must actually contend
-    (mean slowdown > 1 somewhere).  Raises ``AssertionError`` on
-    violation (so the CI step fails loudly), returns the records.
-    """
-    records = sessions_sweep(
-        schedulers=("fifo", "cda"),
-        loads=(2.0,),
-        seeds=(0,),
-        workers=workers,
-        count=6,
-        dests=9,
-        m=3,
-    )
+def _check_smoke(records: List[dict]) -> None:
+    """Every session of every run must complete, no session may finish
+    faster than its isolated baseline (slowdown ≥ 1), and the flash
+    crowd must actually contend (mean slowdown > 1 somewhere)."""
     assert records, "sessions smoke produced no records"
     for record in records:
         assert record["completed"] == record["count"], f"sessions lost: {record}"
@@ -258,4 +175,19 @@ def sessions_smoke(workers: int = 1) -> List[dict]:
         assert record["mean_queueing"] >= 0.0, f"negative queueing: {record}"
     contended = max(r["mean_slowdown"] for r in records)
     assert contended > 1.0, f"no contention at load 2.0: {records}"
-    return records
+
+
+#: The concurrent-sessions campaign: scheduler × load × seed, smoke =
+#: FIFO vs CDA at high offered load.
+SESSIONS = Campaign(
+    name="sessions",
+    point=sessions_point,
+    grid={"scheduler": tuple(sorted(SCHEDULERS)), "load": DEFAULT_LOADS, "seed": (0, 1, 2)},
+    table=sessions_table,
+    smoke_grid={"scheduler": ("fifo", "cda"), "load": (2.0,), "seed": (0,)},
+    smoke_kwargs={"count": 6, "dests": 9, "m": 3},
+    check=_check_smoke,
+    smoke_summary="every session completed, contention measured",
+    slo="session_slowdown",
+    events=_slowdown_events,
+)

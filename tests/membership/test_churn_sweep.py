@@ -1,4 +1,4 @@
-"""Churn sweep: replay determinism across workers, smoke contract, CLI."""
+"""Churn campaign: point determinism, smoke contract, record files, CLI."""
 
 from __future__ import annotations
 
@@ -7,23 +7,12 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.membership import (
-    SCENARIOS,
-    churn_point,
-    churn_smoke,
-    churn_sweep,
-    churn_table,
-    load_records,
-    records_json,
-)
+from repro.analysis.campaign import load_records, write_records
+from repro.durable.errors import StoreCorruptionError, StoreVersionError
+from repro.membership import CHURN, SCENARIOS, churn_point, churn_table
 
 
 class TestDeterminism:
-    def test_records_identical_across_worker_counts(self):
-        serial = records_json(churn_sweep(seeds=(0,), dests=15, m=4, workers=1))
-        parallel = records_json(churn_sweep(seeds=(0,), dests=15, m=4, workers=4))
-        assert serial == parallel
-
     def test_point_is_a_pure_function_of_its_arguments(self):
         a = churn_point("poisson", 0, 15, 4)
         b = churn_point("poisson", 0, 15, 4)
@@ -37,7 +26,7 @@ class TestDeterminism:
 class TestSmoke:
     @pytest.fixture(scope="class")
     def records(self):
-        return churn_smoke()
+        return CHURN.smoke()
 
     def test_covers_every_scenario(self, records):
         assert [r["scenario"] for r in records] == list(SCENARIOS)
@@ -67,18 +56,25 @@ class TestSmoke:
 
     def test_records_round_trip(self, records, tmp_path):
         path = tmp_path / "churn_records.json"
-        path.write_text(records_json(records))
+        write_records(path, records, {"command": "churn"})
         assert load_records(path) == records
 
     def test_load_records_rejects_corruption(self, tmp_path):
-        from repro.durable.errors import StoreCorruptionError
-
         path = tmp_path / "bad.json"
-        path.write_text('[{"scenario": "poisson"')
+        path.write_text('{"version": 1, "records": [{"scenario": "poisson"')
         with pytest.raises(StoreCorruptionError, match="truncated or corrupt"):
             load_records(path)
-        path.write_text('{"not": "a list"}')
-        with pytest.raises(StoreCorruptionError, match="JSON array"):
+        for wrong_shape in (
+            '[{"scenario": "poisson"}]',  # a bare record array, no envelope
+            '{"version": 1, "records": {"not": "a list"}}',
+            '{"version": 1, "records": [1, 2]}',
+            '{"records": [{"scenario": "poisson"}]}',  # no version
+        ):
+            path.write_text(wrong_shape)
+            with pytest.raises(StoreCorruptionError):
+                load_records(path)
+        path.write_text('{"version": 2, "records": []}')
+        with pytest.raises(StoreVersionError, match="version 2"):
             load_records(path)
 
     def test_table_renders_every_scenario(self, records):

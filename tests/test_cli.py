@@ -306,3 +306,23 @@ def test_profile_hz_must_be_positive(capsys):
         "sessions", "--smoke", "--profile-out", "x", "--profile-hz", "0",
     ]) == 2
     assert "profile-hz" in capsys.readouterr().err
+
+
+def test_smoke_checkpoint_journals_then_resumes(capsys, tmp_path):
+    from repro.durable import DURABLE_METRICS
+
+    ckpt = tmp_path / "smoke.ckpt"
+    first = run_cli(capsys, "chaos", "--smoke", "--checkpoint", str(ckpt))
+    assert ckpt.exists()
+    resumed_before = DURABLE_METRICS.snapshot()["chunks_resumed"]
+    second = run_cli(capsys, "chaos", "--smoke", "--checkpoint", str(ckpt))
+    assert DURABLE_METRICS.snapshot()["chunks_resumed"] > resumed_before
+    assert "resumed" in second
+    # The resumed run prints the same survival table.
+    assert first.split("checkpoint ")[0] == second.split("checkpoint ")[0]
+
+
+def test_smoke_resume_requires_existing_checkpoint(capsys, tmp_path):
+    missing = tmp_path / "missing.ckpt"
+    assert main(["churn", "--smoke", "--checkpoint", str(missing), "--resume"]) == 2
+    assert "does not exist" in capsys.readouterr().err
